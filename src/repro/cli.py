@@ -45,8 +45,6 @@ from repro.core.protocol import reconcile
 from repro.core.rateless import reconcile_rateless
 from repro.errors import ConfigError, ReproError
 from repro.iblt.backends import available_backends, backend_names
-from repro.iblt.decode import DECODE_STRATEGIES
-from repro.net import codec
 from repro.scale import reconcile_sharded
 from repro.scale.executors import executors_available
 from repro.serve import (
@@ -87,15 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["auto"] + backend_names(), default="auto",
         help="IBLT cell-storage backend (default: auto = fastest available)",
     )
-    wire_codec_kwargs = dict(
-        choices=("vector", "scalar"), default="vector", dest="wire_codec",
-        help=(
-            "wire codec path: 'vector' (default) packs whole tables "
-            "columnarly when numpy is available, 'scalar' forces the "
-            "field-at-a-time reference (diagnostics / A-B measurement; "
-            "the bytes are identical either way)"
-        ),
-    )
 
     rec = sub.add_parser("reconcile", help="reconcile Bob towards Alice")
     rec.add_argument("workload", type=Path, help="JSON from 'generate' (or same schema)")
@@ -107,12 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use the rateless streaming protocol (bytes track "
                           "the true difference; no estimation round)")
     rec.add_argument("--backend", **backend_kwargs)
-    rec.add_argument("--wire-codec", **wire_codec_kwargs)
-    rec.add_argument("--decode-strategy", choices=DECODE_STRATEGIES,
-                     default="batch", dest="decode_strategy",
-                     help="IBLT peeling strategy: batch (round-based, "
-                          "vectorized) or scalar (reference peel; "
-                          "diagnostics)")
     rec.add_argument("--shards", type=int, default=1,
                      help="spatial shards for the sharded engine (default: 1 "
                           "= monolithic protocol)")
@@ -130,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--k", type=int, default=16)
     est.add_argument("--seed", type=int, default=0)
     est.add_argument("--backend", **backend_kwargs)
-    est.add_argument("--wire-codec", **wire_codec_kwargs)
 
     info = sub.add_parser("info", help="analytic predictions for a config")
     info.add_argument("--delta", type=int, default=2**16)
@@ -146,7 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=16)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--backend", **backend_kwargs)
-    serve.add_argument("--wire-codec", **wire_codec_kwargs)
     serve.add_argument("--shards", type=int, default=1,
                        help="shard count clients of the sharded variant "
                             "must match")
@@ -161,12 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "engine (default: from machine)")
     serve.add_argument("--executor", choices=("auto",) + executors_available(),
                        default="auto")
-    serve.add_argument("--offload", choices=("thread", "process"),
-                       default=None,
-                       help="run session compute off each accept loop: "
-                            "'thread' keeps the loop responsive, 'process' "
-                            "additionally moves heavy per-request encodes "
-                            "to a copy-on-write process pool")
     serve.add_argument("--store-dir", type=Path, default=None,
                        dest="store_dir",
                        help="durable sketch store directory (must exist and "
@@ -208,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help=">1 selects the sharded variant (must match the "
                           "server's --shards)")
     syn.add_argument("--backend", **backend_kwargs)
-    syn.add_argument("--wire-codec", **wire_codec_kwargs)
     syn.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     syn.add_argument("--retries", type=int, default=1,
                      help="total sync attempts before giving up; transient "
@@ -305,7 +279,6 @@ def cmd_reconcile(args) -> int:
         delta=data["delta"], dimension=data["dimension"], k=args.k,
         seed=args.seed, backend=args.backend, shards=args.shards,
         workers=args.workers, executor=args.executor,
-        decode_strategy=args.decode_strategy,
     )
     if variant == "sharded":
         runner = reconcile_sharded
@@ -430,7 +403,7 @@ def cmd_serve(args) -> int:
                 core=core, workers=args.workers,
                 host=args.host, port=args.port,
                 max_sessions=args.max_sessions, max_pending=args.max_pending,
-                timeout=args.timeout, offload=args.offload,
+                timeout=args.timeout,
             )
         else:
             server = ReconciliationServer(
@@ -438,7 +411,7 @@ def cmd_serve(args) -> int:
                 points if core is None else None,
                 core=core, host=args.host, port=args.port,
                 max_sessions=args.max_sessions, max_pending=args.max_pending,
-                timeout=args.timeout, offload=args.offload,
+                timeout=args.timeout,
             )
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
@@ -533,10 +506,6 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "wire_codec", "vector") == "scalar":
-        # Process-wide diagnostic switch: every payload this run touches
-        # goes through the field-at-a-time reference (same bytes).
-        codec.FORCE_SCALAR = True
     handlers = {
         "generate": cmd_generate,
         "reconcile": cmd_reconcile,

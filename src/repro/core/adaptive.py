@@ -209,7 +209,7 @@ class AdaptiveReconciler:
             )
             mine = self._alice_estimator(alice_points, level)
             estimates[level] = mine.estimate_difference(
-                bob_estimator, strategy=self.config.decode_strategy
+                bob_estimator
             )
         reader.expect_end()
 
@@ -297,7 +297,6 @@ class AdaptiveReconciler:
             result = decode(
                 alice_table.subtract(bob_table),
                 max_items=4 * alice_table.config.capacity + 8,
-                strategy=self.config.decode_strategy,
             )
             if not result.success:
                 continue

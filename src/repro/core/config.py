@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from repro.emd.metrics import validate_metric
 from repro.errors import ConfigError
 from repro.iblt.backends import get_backend
-from repro.iblt.decode import DECODE_STRATEGIES
 from repro.iblt.table import PEELING_THRESHOLDS, recommended_cells
 
 #: Shard-executor kinds accepted by :class:`ProtocolConfig` (implemented in
@@ -86,15 +85,6 @@ class ProtocolConfig:
     executor:
         Shard executor kind: ``"serial"``, ``"thread"``, ``"process"``, or
         ``"auto"`` (pick per machine/backend).  Private, like ``workers``.
-    decode_strategy:
-        IBLT peeling strategy for every decode this run performs (see
-        :mod:`repro.iblt.decode`): ``"batch"`` (default, round-based and
-        vectorized on array backends) or ``"scalar"`` (the reference
-        one-key-at-a-time peel, for diagnostics and differential testing).
-        Also drives the rateless variant's resumable
-        :class:`~repro.iblt.decode.PeelState`.  Both strategies recover
-        identical key sets, so this is private — it does not affect the
-        wire bytes or the repair.
     """
 
     delta: int
@@ -112,7 +102,6 @@ class ProtocolConfig:
     shards: int = 1
     workers: int | None = None
     executor: str = "auto"
-    decode_strategy: str = "batch"
 
     def __post_init__(self) -> None:
         if self.delta < 2:
@@ -147,11 +136,6 @@ class ProtocolConfig:
         if self.executor not in EXECUTOR_KINDS:
             raise ConfigError(
                 f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"
-            )
-        if self.decode_strategy not in DECODE_STRATEGIES:
-            raise ConfigError(
-                f"decode_strategy must be one of {DECODE_STRATEGIES}, "
-                f"got {self.decode_strategy!r}"
             )
         if self.levels is not None:
             if not self.levels:

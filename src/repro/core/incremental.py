@@ -251,8 +251,7 @@ class IncrementalSketch:
 
         The receiving replica subtracts the incoming sketch from its
         incrementally maintained level tables — no re-encode of its own
-        point set — and peels the finest decodable level with the
-        config-selected strategy (see :mod:`repro.iblt.decode`).  Returns
+        point set — and peels the finest decodable level.  Returns
         ``(level, result)``; the recovered ``alice_keys`` / ``bob_keys``
         are the packed ``(cell, occurrence)`` key difference at that level,
         which callers can feed to :func:`repro.core.repair.plan_repair` or
@@ -292,7 +291,6 @@ class IncrementalSketch:
                 result = decode(
                     diff,
                     max_items=self.config.decode_item_limit,
-                    strategy=self.config.decode_strategy,
                 )
                 if result.success and not HierarchicalReconciler._balanced(
                     result, sketch.n_points, self.n_points

@@ -145,7 +145,6 @@ class HierarchicalReconciler:
                 result = decode(
                     diff,
                     max_items=self.config.decode_item_limit,
-                    strategy=self.config.decode_strategy,
                 )
                 if result.success and not self._balanced(
                     result, sketch.n_points, len(bob_points)

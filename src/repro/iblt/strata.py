@@ -153,7 +153,7 @@ class StrataEstimator:
             self.insert(key)
 
     def estimate_difference(
-        self, other: "StrataEstimator", *, strategy: str = "batch"
+        self, other: "StrataEstimator"
     ) -> int:
         """Estimate ``|self_keys △ other_keys|``.
 
@@ -164,16 +164,13 @@ class StrataEstimator:
 
         The estimate is intentionally conservative-ish; callers typically
         multiply by a small headroom factor before sizing an IBLT.
-        ``strategy`` selects the peeling strategy per stratum (see
-        :func:`repro.iblt.decode.decode`); protocols pass their config's
-        ``decode_strategy`` through.
         """
         if self.config != other.config:
             raise ConfigError("strata estimators built with different configs")
         accumulated = 0
         for i in range(self.config.strata - 1, -1, -1):
             diff = self.tables[i].subtract(other.tables[i])
-            result = decode(diff, strategy=strategy)
+            result = decode(diff)
             if not result.success:
                 if accumulated == 0:
                     # The deepest strata already overflowed: the difference

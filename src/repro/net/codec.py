@@ -27,8 +27,8 @@ they cannot guarantee that (no numpy, ``FORCE_SCALAR`` set, fields wider
 than 64 bits, values that do not fit native dtypes, adversarial varint
 chains).  Fallbacks re-parse from the original stream position, so the
 error type, message, and consumed-bit count on malformed payloads are
-byte-for-byte the reference's.  ``tests/test_wire_codec.py`` enforces
-both properties differentially.
+byte-for-byte the reference's.  The codec's differential tests check
+both properties against the reference.
 
 Varint vectorization
 --------------------
@@ -54,8 +54,10 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 from repro.errors import SerializationError
 from repro.net.bits import BitReader, BitWriter, zigzag_decode, zigzag_encode
 
-#: Escape hatch forcing the scalar reference paths everywhere (differential
-#: tests, the ``--wire-codec scalar`` CLI flag, benchmark baselines).
+#: Test seam forcing the scalar reference paths everywhere: the wire
+#: differential tests and ``benchmarks/bench_wire.py`` set it to compare
+#: both paths.  No runtime option selects it; without numpy the scalar
+#: paths run anyway.
 FORCE_SCALAR = False
 
 #: The scalar reader rejects varints longer than 1024 bits (147 groups);

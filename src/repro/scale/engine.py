@@ -199,7 +199,6 @@ def _decode_parsed_shard(
             result = decode(
                 alice_table.subtract(bob_table),
                 max_items=config.decode_item_limit,
-                strategy=config.decode_strategy,
             )
             if result.success and not HierarchicalReconciler._balanced(
                 result, sketch.n_points, n_bob

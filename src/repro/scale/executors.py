@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import ConfigError
@@ -47,32 +47,13 @@ def fork_available() -> bool:
 
 
 class ShardExecutor:
-    """Minimal executor interface the sharded engine relies on.
-
-    ``map`` is the engine's bulk path; ``submit`` is the single-task path
-    the serve layer's off-loop session offload uses (it bridges the
-    returned :class:`~concurrent.futures.Future` onto asyncio with
-    ``asyncio.wrap_future``, so the interface stays I/O-free here).
-    """
+    """Minimal executor interface the sharded engine relies on."""
 
     kind = "serial"
 
     def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         """Apply ``fn`` to every task, preserving task order."""
         return [fn(task) for task in tasks]
-
-    def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
-        """Run one task; returns a :class:`~concurrent.futures.Future`.
-
-        The serial base runs inline and hands back an already-resolved
-        future, so callers can treat every executor kind uniformly.
-        """
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as exc:  # noqa: BLE001 — futures carry any error
-            future.set_exception(exc)
-        return future
 
     def close(self) -> None:
         """Release pooled resources (idempotent)."""
@@ -101,9 +82,6 @@ class ThreadExecutor(ShardExecutor):
     def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         return list(self._pool.map(fn, tasks))
 
-    def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
-        return self._pool.submit(fn, *args)
-
     def close(self) -> None:
         self._pool.shutdown(wait=True)
 
@@ -114,12 +92,6 @@ class ProcessExecutor(ShardExecutor):
     Task functions and arguments must be picklable; the engine's shard
     tasks are module-level functions over configs, byte strings, and point
     sequences.
-
-    Under the ``fork`` start method the pool's children inherit the
-    parent's state at *pool creation time* copy-on-write — the serve
-    layer exploits this by installing its immutable core in a module
-    global before building the pool, so offloaded calls reference heavy
-    state by name instead of pickling it per task.
     """
 
     kind = "process"
@@ -132,9 +104,6 @@ class ProcessExecutor(ShardExecutor):
 
     def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         return list(self._pool.map(fn, tasks))
-
-    def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
-        return self._pool.submit(fn, *args)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

@@ -18,9 +18,9 @@ injection for all of it lives in :mod:`repro.net.faults`.
 Scaling across cores is :mod:`repro.serve.pool`: a pre-fork
 :class:`~repro.serve.pool.WorkerPoolServer` whose N workers each run the
 single-process server over a shared listen address, inheriting one
-pre-warmed :class:`~repro.serve.service.ServerCore` copy-on-write, with
-optional off-loop session compute via
-:class:`~repro.serve.service.SessionOffload`.
+pre-warmed :class:`~repro.serve.service.ServerCore` copy-on-write.
+Each session's compute runs inline on its worker's event loop; there is
+one compute path per server.
 """
 
 from repro.serve.frames import (
@@ -45,10 +45,8 @@ from repro.serve.service import (
     DEFAULT_TIMEOUT,
     ReconciliationServer,
     ServerCore,
-    SessionOffload,
     SessionStats,
     close_writer,
-    install_process_core,
     pump_stream,
     sync,
     sync_blocking,
@@ -65,7 +63,6 @@ __all__ = [
     "ReconciliationServer",
     "RetryPolicy",
     "ServerCore",
-    "SessionOffload",
     "SessionStats",
     "WIRE_VERSION",
     "WorkerPoolServer",
@@ -73,7 +70,6 @@ __all__ = [
     "close_writer",
     "config_digest",
     "encode_frame",
-    "install_process_core",
     "pump_stream",
     "read_frame",
     "resilient_sync",

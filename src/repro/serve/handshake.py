@@ -58,7 +58,7 @@ RESUME_TOKEN_MAGIC = 0xCA
 STALE_RESUME_CODE = "stale-resume"
 
 #: ProtocolConfig fields that shape wire bytes (the public-coin contract).
-#: Private knobs — backend, workers, executor, decode_strategy — are
+#: Private knobs — backend, workers, executor — are
 #: deliberately absent: peers may differ on those.  ``shards`` is added
 #: only for the sharded variant (it frames the wire there and is ignored
 #: everywhere else, so a sharded server can still serve one-round peers).

@@ -120,11 +120,11 @@ def _session_record(stats: SessionStats) -> dict:
     return record
 
 
-def _worker_main(index, core, sock, server_kwargs, offload, conn) -> None:
+def _worker_main(index, core, sock, server_kwargs, conn) -> None:
     """Entry point of one forked worker process."""
     try:
         asyncio.run(
-            _worker_serve(index, core, sock, server_kwargs, offload, conn)
+            _worker_serve(index, core, sock, server_kwargs, conn)
         )
     finally:
         try:
@@ -133,7 +133,7 @@ def _worker_main(index, core, sock, server_kwargs, offload, conn) -> None:
             pass
 
 
-async def _worker_serve(index, core, sock, server_kwargs, offload, conn):
+async def _worker_serve(index, core, sock, server_kwargs, conn):
     """One worker's life: serve until SIGTERM, then drain and report.
 
     SIGTERM (the pool's graceful-stop signal) closes the listen socket
@@ -171,7 +171,6 @@ async def _worker_serve(index, core, sock, server_kwargs, offload, conn):
         sock=sock,
         worker_index=index,
         on_session=on_session,
-        offload=offload,
         **server_kwargs,
     )
     await server.start()
@@ -195,10 +194,7 @@ class WorkerPoolServer:
     worker*; see the module docstring for the global arithmetic.
 
     ``reuse_port=None`` (auto) picks ``SO_REUSEPORT`` where the platform
-    offers it and the shared-socket pre-fork accept otherwise;
-    ``offload`` ("thread" or "process") additionally moves each worker's
-    session compute off its event loop (see
-    :class:`~repro.serve.service.SessionOffload`).
+    offers it and the shared-socket pre-fork accept otherwise.
 
     Requires the ``fork`` start method (POSIX) — the whole point is
     inheriting the warmed core copy-on-write.
@@ -217,7 +213,6 @@ class WorkerPoolServer:
         port: int = 0,
         reuse_port: bool | None = None,
         warm: bool = True,
-        offload: str | None = None,
         max_sessions: int = 64,
         max_pending: int | None = None,
         retry_after_hint: float = 0.05,
@@ -235,11 +230,6 @@ class WorkerPoolServer:
             )
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
-        if offload is not None and offload not in ("thread", "process"):
-            raise ConfigError(
-                f"unknown offload kind {offload!r}; "
-                "expected 'thread', 'process', or None"
-            )
         if core is None:
             if config is None or points is None:
                 raise ConfigError(
@@ -268,7 +258,6 @@ class WorkerPoolServer:
             reuse_port if reuse_port is not None else reuse_port_available()
         )
         self._warm = warm
-        self._offload = offload
         self._server_kwargs = {
             "max_sessions": max_sessions,
             "max_pending": max_pending,
@@ -368,8 +357,9 @@ class WorkerPoolServer:
             old.close()
         self._conns[index] = parent_conn
         self._ready[index] = False
-        # Not daemonic: a daemonic process may not fork children of its
-        # own, which would forbid the per-worker process offload pool.
+        # Not daemonic: a daemonic process may not start children of its
+        # own, and a worker's sharded engine may start a process executor
+        # (``ProtocolConfig.executor="process"``) for its shard fan-out.
         # Orphan protection comes from the worker's parent watcher
         # instead (see _worker_serve).
         process = self._ctx.Process(
@@ -379,7 +369,6 @@ class WorkerPoolServer:
                 self.core,
                 self._sock_for(index),
                 self._server_kwargs,
-                self._offload,
                 child_conn,
             ),
             daemon=False,

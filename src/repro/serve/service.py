@@ -6,19 +6,13 @@ Bob, repairing towards the server).  One sans-I/O session per connection,
 a semaphore bounding how many run concurrently, per-session stats, and a
 handshake that rejects peers whose public-coin config drifted.
 
-Concurrency model: frames move through the event loop; by default the
-session's own compute (sketch encode, peel, repair) runs inline on the
-loop, so sessions overlap on I/O and handshake latency while CPU work
-serialises — the standard single-process asyncio trade.  Two layers lift
-that cap:
-
-* :class:`SessionOffload` moves session compute off the loop (and, for
-  the per-request-heavy variants, onto a copy-on-write process pool from
-  :mod:`repro.scale.executors`), so one big sync cannot stall a worker's
-  accept/handshake/frame traffic.
-* :class:`~repro.serve.pool.WorkerPoolServer` pre-forks N processes each
-  running this server over a shared listen socket, scaling sessions/s
-  with the machine's cores.
+Concurrency model: frames move through the event loop and each
+session's compute (sketch encode, peel, repair) runs inline on it, so
+sessions overlap on I/O and handshake latency while CPU work serialises
+— the standard single-process asyncio trade.
+:class:`~repro.serve.pool.WorkerPoolServer` lifts that cap by pre-forking
+N processes, each running this server over a shared listen socket, which
+scales sessions/s with the machine's cores.
 
 The split that makes the pool cheap is :class:`ServerCore`: everything a
 connection needs but never mutates — config, knobs, the point multiset,
@@ -46,11 +40,6 @@ from repro.errors import (
     ServerOverloadedError,
     SessionError,
     StaleResumeTokenError,
-)
-from repro.scale.executors import (
-    ProcessExecutor,
-    ThreadExecutor,
-    fork_available,
 )
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
@@ -104,7 +93,6 @@ async def pump_stream(
     *,
     channel: SimulatedChannel | None = None,
     timeout: float | None = DEFAULT_TIMEOUT,
-    drive=None,
 ) -> object:
     """Drive one session endpoint over framed asyncio streams to completion.
 
@@ -112,21 +100,9 @@ async def pump_stream(
     labels a simulated run uses) onto ``channel``, which makes TCP runs
     transcript-comparable with :class:`~repro.net.channel.SimulatedChannel`
     runs.  Returns the session's result.
-
-    ``drive`` is the compute seam: ``None`` runs ``session.start()`` /
-    ``session.feed()`` inline on the event loop (the default, and the
-    client's behaviour); a server passes :meth:`SessionOffload.drive` to
-    run them off-loop so a heavy decode cannot stall its other
-    connections.  The session object itself is only ever touched by one
-    call at a time either way — the pump is strictly sequential.
     """
     out_direction = OUTBOUND_DIRECTION[session.role]
     in_direction = INBOUND_DIRECTION[session.role]
-
-    async def step(fn, *args):
-        if drive is None:
-            return fn(*args)
-        return await drive(fn, *args)
 
     async def ship(output) -> None:
         for message in outbound_messages(output):
@@ -134,12 +110,12 @@ async def pump_stream(
                 channel.send(out_direction, message.payload, message.label)
             await write_frame(writer, message.payload, timeout=timeout)
 
-    await ship(await step(session.start))
+    await ship(session.start())
     while not session.done:
         payload = await read_frame(reader, timeout=timeout)
         if channel is not None:
             channel.send(in_direction, payload, session.inbound_label())
-        await ship(await step(session.feed, payload))
+        await ship(session.feed(payload))
     return session.result
 
 
@@ -179,9 +155,13 @@ class _ResumeEntry:
     connection serving this stream; a resume request may continue at any
     index up to it.  The config digest pins the public coins the stream
     was encoded under — a drifted client must re-handshake from scratch.
+    ``ingests`` is the core's ingest count when the stream began: an
+    ingest since then changed the point set the increments encode, so
+    the stream can no longer be continued.
     """
 
     digest: str
+    ingests: int
     sent: int = 0
 
 
@@ -223,6 +203,9 @@ class ServerCore:
         #: pre-fork pool every worker inherits the recovered state
         #: copy-on-write.
         self.store = store
+        #: How many non-empty batches :meth:`ingest` has applied; resume
+        #: tokens minted before the latest ingest are refused.
+        self.ingests = 0
         self._reconcilers: dict[str, object] = {}
         self._encoded: dict[str, bytes] = {}
         self._digests: dict[str, str] = {}
@@ -262,6 +245,7 @@ class ServerCore:
         if self.store is not None:
             self.store.insert_batch(points)
         self.points = list(self.points) + points
+        self.ingests += 1
         for reconciler in self._reconcilers.values():
             close = getattr(reconciler, "close", None)
             if close is not None:
@@ -326,33 +310,14 @@ class ServerCore:
                 )
         return self._encoded[variant]
 
-    def session_for(
-        self, variant: str, start_index: int = 0, **hooks
-    ) -> Session:
-        """Build one connection's Alice session over the shared caches.
-
-        ``hooks`` forwards compute seams into the session (``responder``
-        for adaptive, ``increment_source`` for rateless — see
-        :meth:`SessionOffload.session_hooks`).
-        """
-        reconciler = self.reconciler(variant)
-        kwargs = {"reconciler": reconciler, **hooks}
+    def session_for(self, variant: str, start_index: int = 0) -> Session:
+        """Build one connection's Alice session over the shared caches."""
+        kwargs = {"reconciler": self.reconciler(variant)}
         if variant in ("one-round", "sharded"):
             kwargs["encoded"] = self.encoded(variant)
         if variant == "rateless":
             kwargs["start_index"] = start_index
         return make_session(variant, "alice", self.config, self.points, **kwargs)
-
-    def adaptive_respond(self, payload: bytes) -> bytes:
-        """Pure bytes-in/bytes-out adaptive round: Alice's response to one
-        request over the fixed point multiset.  Safe to run in a forked
-        pool worker (reads only copy-on-write state)."""
-        return self.reconciler("adaptive").alice_respond(payload, self.points)
-
-    def rateless_increment(self, index: int) -> bytes:
-        """Alice's ``index``-th encoded rateless increment (pure given the
-        fixed points; cached under state reuse)."""
-        return self.reconciler("rateless").alice_increment(self.points, index)
 
     def warm(
         self,
@@ -395,128 +360,6 @@ class ServerCore:
             sharded.close()
 
 
-# The copy-on-write seam for process offload: the pool parent installs its
-# warmed core here *before* building the fork process pool, so offload
-# children inherit the heavy state by memory sharing and tasks reference
-# it by module-global name instead of pickling points per request.
-_PROCESS_CORE: ServerCore | None = None
-
-
-def install_process_core(core: ServerCore) -> None:
-    """Install ``core`` as the fork-inherited target of process offload."""
-    global _PROCESS_CORE
-    _PROCESS_CORE = core
-
-
-def _core_adaptive_respond(payload: bytes) -> bytes:
-    if _PROCESS_CORE is None:  # pragma: no cover - misconfiguration guard
-        raise ConfigError("process offload used without install_process_core()")
-    return _PROCESS_CORE.adaptive_respond(payload)
-
-
-def _core_rateless_increment(index: int) -> bytes:
-    if _PROCESS_CORE is None:  # pragma: no cover - misconfiguration guard
-        raise ConfigError("process offload used without install_process_core()")
-    return _PROCESS_CORE.rateless_increment(index)
-
-
-def _offload_ready() -> bool:
-    """No-op probe submitted to force eager pool start-up (picklable)."""
-    return True
-
-
-class SessionOffload:
-    """Move session compute off a server's event loop.
-
-    ``kind="thread"``: every ``session.start()`` / ``session.feed()``
-    call runs on a single-thread executor, bridged back with
-    ``asyncio.wrap_future`` — the loop stays free to accept, handshake,
-    and pump frames for *other* connections while one session peels a
-    large decode.  One thread is deliberate: session compute still
-    serialises (the GIL would enforce that anyway for pure-Python
-    kernels); the win is loop responsiveness, not parallel decode.
-
-    ``kind="process"``: additionally forwards the per-request-heavy pure
-    computations — the adaptive variant's ``alice_respond`` and the
-    rateless variant's increment encode — to a copy-on-write
-    :class:`~repro.scale.executors.ProcessExecutor` over the installed
-    process core (see :func:`install_process_core`).  Only bytes cross
-    the process boundary; the stateful session object never leaves the
-    worker.  Requires the ``fork`` start method.
-
-    The pool is started eagerly at construction (a no-op probe forces the
-    forks) so children are spawned while the process is still
-    single-threaded — forking later, once the offload thread exists,
-    would inherit arbitrary lock states.
-    """
-
-    def __init__(
-        self,
-        kind: str = "thread",
-        *,
-        core: ServerCore | None = None,
-        workers: int = 1,
-    ):
-        if kind not in ("thread", "process"):
-            raise ConfigError(
-                f"unknown offload kind {kind!r}; expected 'thread' or 'process'"
-            )
-        self.kind = kind
-        self._process: ProcessExecutor | None = None
-        if kind == "process":
-            if not fork_available():  # pragma: no cover - platform-specific
-                raise ConfigError(
-                    "process offload requires the 'fork' start method"
-                )
-            if core is None:
-                raise ConfigError(
-                    "process offload needs the server core installed "
-                    "before the pool forks; pass core="
-                )
-            install_process_core(core)
-            self._process = ProcessExecutor(max(1, workers))
-            self._process.submit(_offload_ready).result()
-        self._thread = ThreadExecutor(1)
-
-    async def drive(self, fn, *args):
-        """Run one session step off-loop; awaitable from the pump."""
-        return await asyncio.wrap_future(self._thread.submit(fn, *args))
-
-    def session_hooks(self, variant: str) -> dict:
-        """Compute seams to thread into :meth:`ServerCore.session_for`.
-
-        Thread offload needs none (the whole step already left the loop);
-        process offload redirects the pure per-request byte computations.
-        The hook blocks on the future inside the offload thread, so the
-        event loop never waits on a process-pool result directly.
-        """
-        if self._process is None:
-            return {}
-        if variant == "adaptive":
-            return {"responder": self._respond}
-        if variant == "rateless":
-            return {"increment_source": self._increment}
-        return {}
-
-    def _respond(self, payload: bytes) -> bytes:
-        return self._process.submit(_core_adaptive_respond, payload).result()
-
-    def _increment(self, index: int) -> bytes:
-        return self._process.submit(_core_rateless_increment, index).result()
-
-    def close(self) -> None:
-        """Shut down the offload executors (idempotent)."""
-        self._thread.close()
-        if self._process is not None:
-            self._process.close()
-
-    def __enter__(self) -> "SessionOffload":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 class ReconciliationServer:
     """Serve reconciliation sessions (as Alice) over TCP.
 
@@ -534,10 +377,9 @@ class ReconciliationServer:
     instead receives ``core=`` (the parent's warmed, copy-on-write-shared
     core) and must not pass config/points.  Pool-specific knobs —
     ``sock`` (an already-bound listen socket), ``reuse_port``
-    (SO_REUSEPORT bind), ``worker_index`` (stamped into welcome frames),
-    ``on_session`` (per-session stats callback for aggregation) and
-    ``offload`` (off-loop session compute, see :class:`SessionOffload`)
-    — all default to off, leaving single-process behaviour byte-identical
+    (SO_REUSEPORT bind), ``worker_index`` (stamped into welcome frames)
+    and ``on_session`` (per-session stats callback for aggregation) — all
+    default to off, leaving single-process behaviour byte-identical
     to earlier releases.
     """
 
@@ -562,7 +404,6 @@ class ReconciliationServer:
         stats_history: int = 1024,
         worker_index: int | None = None,
         on_session=None,
-        offload: SessionOffload | str | None = None,
     ):
         if core is None:
             if config is None or points is None:
@@ -625,14 +466,6 @@ class ReconciliationServer:
         self._handlers: set[asyncio.Task] = set()
         self.worker_index = worker_index
         self._on_session = on_session
-        if isinstance(offload, str):
-            # A spec string builds (and therefore owns) the offload; for
-            # "process" the shared core must be installed before forking.
-            offload = SessionOffload(offload, core=core)
-            self._owns_offload = True
-        else:
-            self._owns_offload = False
-        self._offload = offload
         #: Bounded LRU of rateless resume entries: token -> watermark of
         #: increments already streamed.  Alice's increments are a
         #: deterministic function of (config, points, index), so resuming
@@ -720,8 +553,6 @@ class ReconciliationServer:
         pending = [task for task in self._handlers if not task.done()]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        if self._owns_offload and self._offload is not None:
-            self._offload.close()
         if self._owns_core:
             # A core passed in (pool worker, differential test) is owned
             # by whoever built it; closing it here would tear a shared
@@ -768,14 +599,9 @@ class ReconciliationServer:
         reconciler and, for the one-way variants, the encoded opening
         payload, so a session costs near-O(1) server CPU instead of
         re-encoding the whole point set per connection.  See
-        :meth:`ServerCore.session_for`.  An active offload threads its
-        per-variant compute hooks into the session here.
+        :meth:`ServerCore.session_for`.
         """
-        hooks = (
-            self._offload.session_hooks(variant)
-            if self._offload is not None else {}
-        )
-        return self.core.session_for(variant, start_index=start_index, **hooks)
+        return self.core.session_for(variant, start_index=start_index)
 
     # ------------------------------------------------------------ resilience
 
@@ -784,7 +610,9 @@ class ReconciliationServer:
         its LRU entry (evicting the oldest stream beyond capacity)."""
         self._resume_counter += 1
         token = handshake.resume_token(self._resume_nonce, self._resume_counter)
-        self._resume[token] = _ResumeEntry(digest=digest)
+        self._resume[token] = _ResumeEntry(
+            digest=digest, ingests=self.core.ingests
+        )
         while len(self._resume) > self.resume_capacity:
             self._resume.popitem(last=False)
         return token
@@ -795,8 +623,9 @@ class ReconciliationServer:
         """Validate one resume request against the LRU; typed rejection.
 
         Every way a token can be wrong — unparseable, unknown (evicted or
-        minted by another server process), config drift, or an index
-        beyond what was actually streamed — is a
+        minted by another server process), config drift, a point set
+        grown by an ingest since the stream began, or an index beyond
+        what was actually streamed — is a
         :class:`~repro.errors.StaleResumeTokenError`, which the client
         answers by dropping its resume state and restarting from scratch.
         """
@@ -815,6 +644,11 @@ class ReconciliationServer:
         if entry.digest != digest:
             raise StaleResumeTokenError(
                 "resume token was issued under a different config digest"
+            )
+        if entry.ingests != self.core.ingests:
+            raise StaleResumeTokenError(
+                "resume token predates an ingest: the stream encoded a "
+                "point set this server no longer holds"
             )
         if not 1 <= next_index <= entry.sent:
             raise StaleResumeTokenError(
@@ -856,10 +690,8 @@ class ReconciliationServer:
         self, session: Session, reader, writer, recorder
     ) -> None:
         """Run the session pump under the per-connection deadline budget."""
-        drive = self._offload.drive if self._offload is not None else None
         pump = pump_stream(
-            session, reader, writer, channel=recorder, timeout=self.timeout,
-            drive=drive,
+            session, reader, writer, channel=recorder, timeout=self.timeout
         )
         if self.session_deadline is None:
             await pump

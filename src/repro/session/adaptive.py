@@ -18,15 +18,7 @@ WINDOW_LABEL = "adaptive-window"
 
 
 class AdaptiveAliceSession(Session):
-    """Alice's side: wait for the request, answer with the window, done.
-
-    ``responder`` is an optional compute seam: a ``payload -> bytes``
-    callable that replaces the inline ``alice_respond`` call.  The serve
-    layer uses it to run the response build — the variant's only heavy
-    step — on a process pool over fork-shared state; the bytes produced
-    must be identical (the session stays deterministic and sans-I/O, the
-    seam merely relocates the computation).
-    """
+    """Alice's side: wait for the request, answer with the window, done."""
 
     variant = "adaptive"
     role = "alice"
@@ -38,19 +30,14 @@ class AdaptiveAliceSession(Session):
         points,
         adaptive: AdaptiveConfig | None = None,
         reconciler: AdaptiveReconciler | None = None,
-        responder=None,
     ):
         super().__init__()
         self.config = config
         self._points = points
         self._reconciler = reconciler or AdaptiveReconciler(config, adaptive)
-        self._responder = responder
 
     def _feed(self, payload: bytes) -> SessionOutput:
-        if self._responder is not None:
-            response = self._responder(payload)
-        else:
-            response = self._reconciler.alice_respond(payload, self._points)
+        response = self._reconciler.alice_respond(payload, self._points)
         return Done(messages=(OutboundMessage(response, WINDOW_LABEL),))
 
 

@@ -78,13 +78,6 @@ class RatelessAliceSession(Session):
     of 0 — the server's resume path: her increments are a deterministic
     function of (config, points, index), so continuing a broken stream
     needs no per-connection sketch state, only the index to speak next.
-
-    ``increment_source`` is an optional compute seam: an
-    ``index -> bytes`` callable replacing the inline
-    ``alice_increment`` build.  The serve layer uses it to encode
-    increments on a process pool over fork-shared state; the bytes must
-    be identical to the inline path (same deterministic function, merely
-    computed elsewhere).
     """
 
     variant = "rateless"
@@ -97,7 +90,6 @@ class RatelessAliceSession(Session):
         rateless: RatelessConfig | None = None,
         reconciler: RatelessReconciler | None = None,
         start_index: int = 0,
-        increment_source=None,
     ):
         super().__init__()
         self.config = config
@@ -110,11 +102,8 @@ class RatelessAliceSession(Session):
                 f"{start_index}; valid indices are 0..{cap - 1}"
             )
         self._sent = start_index
-        self._increment_source = increment_source
 
     def _increment(self, index: int) -> bytes:
-        if self._increment_source is not None:
-            return self._increment_source(index)
         return self._reconciler.alice_increment(self._points, index)
 
     @property
@@ -172,7 +161,7 @@ class RatelessBobSession(Session):
             self._state = resume.peel
             self._received = resume.next_index
         else:
-            self._state = PeelState(strategy=config.decode_strategy)
+            self._state = PeelState()
             self._received = 0
             if resume is not None:
                 resume.peel = self._state

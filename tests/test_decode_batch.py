@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.incremental import IncrementalSketch
-from repro.core.protocol import reconcile
 from repro.errors import ConfigError
 from repro.iblt.backends import available_backends
 from repro.iblt.decode import DECODE_STRATEGIES, decode
@@ -238,33 +237,6 @@ def test_batch_decode_bit_identical_across_backends(q):
 
 
 # ------------------------------------------------------- protocol-level
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_protocol_identical_under_both_strategies(backend):
-    """End-to-end reconcile: the strategy must not change level or repair."""
-    rng = random.Random(3)
-    delta = 1024
-    alice = [(rng.randrange(delta), rng.randrange(delta)) for _ in range(150)]
-    bob = [
-        tuple(min(delta - 1, max(0, c + rng.choice((-1, 0, 1)))) for c in p)
-        for p in alice[:146]
-    ]
-    outcomes = {}
-    for strategy in DECODE_STRATEGIES:
-        config = ProtocolConfig(
-            delta=delta, dimension=2, k=8, seed=11,
-            backend=backend, decode_strategy=strategy,
-        )
-        result = reconcile(alice, bob, config)
-        outcomes[strategy] = (
-            result.level,
-            result.levels_probed,
-            result.alice_surplus,
-            result.bob_surplus,
-            sorted(result.repaired),
-        )
-    assert outcomes["batch"] == outcomes["scalar"]
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

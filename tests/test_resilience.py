@@ -287,7 +287,7 @@ class TestResilientSync:
             # resilient client must reset and complete from scratch.
             resume = RatelessResumeState()
             resume.token = handshake.resume_token(0xDEAD, 17)
-            resume.peel = PeelState(strategy=config.decode_strategy)
+            resume.peel = PeelState()
             resume.next_index = 3
             async with ReconciliationServer(
                 config, workload.alice, rateless=RATELESS
@@ -305,6 +305,44 @@ class TestResilientSync:
         assert resume.completed
         assert summary["resumed"] == 0, "stale token must not resume"
         assert summary["failed"] == 1 and summary["ok"] == 1
+
+    def test_ingest_invalidates_outstanding_resume_tokens(self):
+        """A stream cut before ``ServerCore.ingest`` must not resume: its
+        increments were encoded over the old point set, and peeling them
+        together with post-ingest increments mixes two sketches.  The
+        server refuses the token typed, and the client resets and repairs
+        towards the grown set."""
+        workload = _workload()
+        config = _config()
+        extra = [(5, 7), (1500, 900)]
+        clean = reconcile_rateless(
+            list(workload.alice) + extra, workload.bob, config, RATELESS
+        )
+        plan = FaultPlan(disconnect=(Direction.ALICE_TO_BOB, 2))
+
+        async def scenario():
+            async with ReconciliationServer(
+                config, workload.alice, rateless=RATELESS, timeout=2.0
+            ) as server:
+                ingested = []
+
+                async def ingest_while_backing_off(delay):
+                    if not ingested:
+                        ingested.append(server.core.ingest(extra))
+
+                async with ChaosProxy(*server.address, plan) as proxy:
+                    result = await resilient_sync(
+                        *proxy.address, config, workload.bob,
+                        variant="rateless", rateless=RATELESS,
+                        policy=_fast_policy(), timeout=2,
+                        sleep=ingest_while_backing_off,
+                    )
+                return result, ingested, server.summary()
+
+        result, ingested, summary = run_scenario(scenario())
+        assert ingested == [len(extra)]
+        assert sorted(result.repaired) == sorted(clean.repaired)
+        assert summary["resumed"] == 0, "a pre-ingest token must not resume"
 
 
 class TestOverloadShedding:

@@ -239,37 +239,6 @@ class TestMultiWorkerDifferential:
         first = sorted(results[0].repaired)
         assert all(sorted(r.repaired) == first for r in results)
 
-    @pytest.mark.parametrize("offload", ["thread", "process"])
-    def test_offload_is_byte_invisible(self, offload):
-        """Off-loop session compute may not change a single payload
-        byte relative to the inline server, for the offload-sensitive
-        variants (adaptive and rateless both route compute through the
-        hooks under offload='process')."""
-        for variant, kwargs, _ in VARIANTS:
-            if variant not in ("adaptive", "rateless"):
-                continue
-            workload, config = _setup(kwargs, seed=17)
-
-            async def run(offload_spec):
-                channel = SimulatedChannel()
-                async with ReconciliationServer(
-                    config, workload.alice, offload=offload_spec
-                ) as server:
-                    result = await sync(
-                        *server.address, config, workload.bob,
-                        variant=variant, channel=channel, timeout=10,
-                    )
-                return result, channel
-
-            inline_result, inline_channel = asyncio.run(run(None))
-            off_result, off_channel = asyncio.run(run(offload))
-            assert _message_triples(off_channel) == _message_triples(
-                inline_channel
-            ), (variant, offload)
-            assert sorted(off_result.repaired) == sorted(
-                inline_result.repaired
-            )
-
 
 class TestStoreDifferential:
     """Durable store on vs off: the store may not shape a single payload

@@ -124,7 +124,7 @@ class TestHandshakeParsing:
         assert handshake.config_digest(base) == handshake.config_digest(
             ProtocolConfig(
                 delta=DELTA, dimension=2, k=6, seed=9, backend="pure",
-                decode_strategy="scalar", executor="serial",
+                executor="serial", workers=2,
             )
         ), "private knobs must not change the digest"
         assert handshake.config_digest(base) != handshake.config_digest(
@@ -441,7 +441,7 @@ class TestRatelessWireFaults:
 
             resume = RatelessResumeState()
             resume.token = handshake.resume_token(0xBEEF, 3)
-            resume.peel = PeelState(strategy=_config().decode_strategy)
+            resume.peel = PeelState()
             resume.next_index = 2
             async with self._server(workload) as server:
                 with pytest.raises(StaleResumeTokenError, match="unknown"):
@@ -462,7 +462,7 @@ class TestRatelessWireFaults:
 
             resume = RatelessResumeState()
             resume.token = "zzz-not-a-token"
-            resume.peel = PeelState(strategy=_config().decode_strategy)
+            resume.peel = PeelState()
             resume.next_index = 1
             async with self._server(workload) as server:
                 with pytest.raises(
@@ -489,7 +489,7 @@ class TestRatelessWireFaults:
                 # Forge an in-progress state far beyond the watermark.
                 beyond = RatelessResumeState()
                 beyond.token = resume.token
-                beyond.peel = PeelState(strategy=_config().decode_strategy)
+                beyond.peel = PeelState()
                 beyond.next_index = 10_000
                 with pytest.raises(
                     StaleResumeTokenError, match="cannot resume"

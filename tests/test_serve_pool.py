@@ -128,7 +128,9 @@ class TestSharedCore:
         # The warmed payload is exactly what a cold encode produces.
         cold = ServerCore(CONFIG, workload.alice, rateless=RATELESS)
         assert core.encoded("one-round") == cold.encoded("one-round")
-        assert core.rateless_increment(0) == cold.rateless_increment(0)
+        assert core.reconciler("rateless").alice_increment(
+            core.points, 0
+        ) == cold.reconciler("rateless").alice_increment(cold.points, 0)
 
     def test_core_and_config_are_mutually_exclusive(self):
         workload = _workload()
@@ -143,8 +145,6 @@ class TestSharedCore:
             WorkerPoolServer(core=core, rateless=RATELESS)
         with pytest.raises(ConfigError):
             WorkerPoolServer(CONFIG, workload.alice, workers=0)
-        with pytest.raises(ConfigError):
-            WorkerPoolServer(CONFIG, workload.alice, offload="bogus")
 
     def test_one_core_many_servers_identical_payloads(self):
         """Two servers over one core (the worker arrangement, sans fork)
@@ -353,51 +353,5 @@ class TestPerWorkerShedding:
                 summary = pool.summary()
                 assert summary["shed"] == len(shed)
                 assert summary["sessions"] == 12
-
-        run_scenario(scenario())
-
-
-class TestOffload:
-    @pytest.mark.parametrize("offload", ["thread", "process"])
-    def test_offload_repairs_identically(self, offload):
-        if offload == "process" and not fork_available():
-            pytest.skip("process offload requires fork")
-        workload = _workload()
-        expected = sorted(
-            reconcile_rateless(
-                workload.alice, list(workload.bob), CONFIG, RATELESS
-            ).repaired
-        )
-
-        async def scenario():
-            async with ReconciliationServer(
-                CONFIG, workload.alice, rateless=RATELESS, offload=offload,
-            ) as server:
-                for variant in ("one-round", "adaptive", "rateless"):
-                    result = await sync(
-                        *server.address, CONFIG, list(workload.bob),
-                        variant=variant, rateless=RATELESS,
-                    )
-                    if variant == "rateless":
-                        assert sorted(result.repaired) == expected
-
-        run_scenario(scenario())
-
-    def test_pool_with_process_offload(self):
-        workload = _workload()
-
-        async def scenario():
-            async with WorkerPoolServer(
-                CONFIG, workload.alice, workers=2, rateless=RATELESS,
-                offload="process",
-            ) as pool:
-                host, port = pool.address
-                for variant in ("one-round", "adaptive", "rateless"):
-                    await sync(
-                        host, port, CONFIG, list(workload.bob),
-                        variant=variant, rateless=RATELESS,
-                    )
-                await pool.wait_for_sessions(3)
-                assert pool.summary()["ok"] == 3
 
         run_scenario(scenario())
