@@ -289,15 +289,20 @@ class ShiftedGridHierarchy:
         return array
 
     def vector_key_pass(
-        self, points: Sequence[Point]
+        self, points: Sequence[Point], levels: Sequence[int] = ()
     ) -> "VectorKeyPass | None":
         """A reusable vectorized key pass over ``points``; ``None`` = fall back.
 
-        The pass validates, shifts, and sorts the points once; every
-        subsequent per-level key request pays only the bit arithmetic.  Hot
-        callers that probe several levels of one point multiset (the decoder,
-        the sharded engine) hold one pass instead of re-sorting per level.
+        The one rule for where packed keys come from: a pass when numpy is
+        present, the points are a clean integer block and every key of
+        ``levels`` fits 63 bits; otherwise the caller uses the pure
+        :meth:`level_keys` / :meth:`keys_for` path.  The pass validates,
+        shifts and sorts the points once; every later per-level request
+        pays only the bit arithmetic, so Alice's encode and Bob's decode
+        (which probes several levels of one multiset) each hold one pass.
         """
+        if any(self.key_bits(level) > 63 for level in levels):
+            return None
         array = self.vector_points(points)
         if array is None:
             return None
@@ -309,9 +314,7 @@ class ShiftedGridHierarchy:
         self, points: Sequence[Point], levels: Sequence[int]
     ) -> dict[int, list[int]] | None:
         """numpy fast path of :meth:`level_keys`; ``None`` means "fall back"."""
-        if any(self.key_bits(level) > 63 for level in levels):
-            return None
-        key_pass = self.vector_key_pass(points)
+        key_pass = self.vector_key_pass(points, levels)
         if key_pass is None:
             return None
         return {level: key_pass.keys(level).tolist() for level in levels}
@@ -349,6 +352,7 @@ class VectorKeyPass:
         self.order = order
         self._keys: dict[int, "_np.ndarray"] = {}
         self._cell_keys: dict[int, "_np.ndarray"] = {}
+        self._by_cell: dict[int, tuple["_np.ndarray", "_np.ndarray"]] = {}
 
     def __len__(self) -> int:
         return self._shifted.shape[0]
@@ -376,6 +380,25 @@ class VectorKeyPass:
             cell_key = (cell_key << bits) | cells[:, column]
         self._cell_keys[level] = cell_key
         return cell_key
+
+    def cell_points(self, cell: Cell, level: int) -> list[Point]:
+        """One cell's points in sorted order, without bucketing every point.
+
+        Equals ``grid.bucket_points(points, level).get(cell, [])``: the
+        level's cell ids are argsorted once (stably, so each cell's slice
+        keeps the pass's coordinate order), then each cell costs a binary
+        search and a slice.
+        """
+        grouped = self._by_cell.get(level)
+        if grouped is None:
+            cell_keys = self.cell_keys(level)
+            by_cell = _np.argsort(cell_keys, kind="stable")
+            grouped = self._by_cell[level] = (by_cell, cell_keys[by_cell])
+        by_cell, sorted_cells = grouped
+        packed = self.grid.pack_key(cell, 0, level) >> self.grid.occupancy_bits
+        lo = int(_np.searchsorted(sorted_cells, packed, side="left"))
+        hi = int(_np.searchsorted(sorted_cells, packed, side="right"))
+        return [self.sorted_point(int(index)) for index in by_cell[lo:hi]]
 
     def keys(self, level: int) -> "_np.ndarray":
         """Packed ``(cell, occurrence-rank)`` keys per point (sorted order)."""

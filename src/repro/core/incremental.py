@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from repro.core.config import ProtocolConfig
 from repro.core.grid import ShiftedGridHierarchy
+from repro.core.protocol import probe_levels
 from repro.core.sketch import HierarchySketch, LevelSketch, level_iblt_config
 from repro.emd.metrics import Point
 from repro.errors import CapacityExceeded, ReconciliationFailure
-from repro.iblt.decode import DecodeResult, decode
+from repro.iblt.decode import DecodeResult
 from repro.iblt.table import IBLT
 
 
@@ -266,46 +267,25 @@ class IncrementalSketch:
             If no transmitted level peels, or the payload carries a level
             this sketch does not maintain.
         """
-        # Late import: protocol imports config/sketch, not this module, so
-        # there is no cycle — but keep it local to mirror that layering.
-        from repro.core.protocol import HierarchicalReconciler
-
-        if probe not in ("binary", "linear"):
-            raise ReconciliationFailure(f"unknown probe mode {probe!r}")
         sketch = HierarchySketch.from_bytes(payload, self.config, self.grid)
-        by_level = {level_sketch.level: level_sketch for level_sketch in sketch.levels}
-        missing = sorted(set(by_level) - set(self._tables))
+        alice_tables = {
+            level_sketch.level: level_sketch.table for level_sketch in sketch.levels
+        }
+        missing = sorted(set(alice_tables) - set(self._tables))
         if missing:
             raise ReconciliationFailure(
                 f"incoming sketch carries levels {missing} this incremental "
                 "sketch does not maintain (configs disagree?)"
             )
-        levels = sorted(by_level)
-        if not levels:
-            raise ReconciliationFailure("incoming sketch carries no levels")
-        outcomes: dict[int, DecodeResult] = {}
-
-        def attempt(level: int) -> DecodeResult:
-            if level not in outcomes:
-                diff = by_level[level].table.subtract(self._tables[level])
-                result = decode(
-                    diff,
-                    max_items=self.config.decode_item_limit,
-                )
-                if result.success and not HierarchicalReconciler._balanced(
-                    result, sketch.n_points, self.n_points
-                ):
-                    result.success = False  # checksum-evading false decode
-                outcomes[level] = result
-            return outcomes[level]
-
-        chosen = HierarchicalReconciler._finest_decodable(levels, attempt, probe)
-        if chosen is None:
-            raise ReconciliationFailure(
-                "no level of the incoming sketch decoded against the live "
-                f"tables (difference exceeds budget k={self.config.k}?)"
-            )
-        return chosen, outcomes[chosen]
+        level, result, _ = probe_levels(
+            alice_tables,
+            lambda level, _: self._tables[level],
+            sketch.n_points,
+            self.n_points,
+            self.config,
+            probe,
+        )
+        return level, result
 
     def encode(self) -> bytes:
         """The current one-round message (bit-identical to a fresh encode)."""

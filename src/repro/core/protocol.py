@@ -22,9 +22,10 @@ hashes rather than ``O(n log Δ)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.core.config import ProtocolConfig
-from repro.core.grid import ShiftedGridHierarchy
+from repro.core.grid import ShiftedGridHierarchy, VectorKeyPass
 from repro.core.repair import RepairPlan, apply_repair, plan_repair
 from repro.core.sketch import (
     HierarchySketch,
@@ -87,13 +88,26 @@ class HierarchicalReconciler:
 
     # ------------------------------------------------------------- Alice
 
-    def level_table(self, points: list[Point], level: int, cells: int | None = None) -> IBLT:
-        """Build one level's IBLT over a point multiset."""
+    def level_table(
+        self,
+        points: list[Point],
+        level: int,
+        cells: int | None = None,
+        key_pass: VectorKeyPass | None = None,
+    ) -> IBLT:
+        """Build one level's IBLT over a point multiset.
+
+        ``key_pass`` (over the same ``points``) supplies the keys when the
+        caller holds one; otherwise they are hashed from ``points``.
+        """
         table = IBLT(
             level_iblt_config(self.config, self.grid, level, cells),
             backend=self.config.backend,
         )
-        table.insert_many(self.grid.keys_for(points, level))
+        if key_pass is not None:
+            table.insert_many(key_pass.keys(level))
+        else:
+            table.insert_many(self.grid.keys_for(points, level))
         return table
 
     def encode(self, points: list[Point]) -> bytes:
@@ -127,82 +141,127 @@ class HierarchicalReconciler:
             level; ``"linear"`` scans every level finest-first (used by
             tests and ablations to validate the search).
         """
-        if probe not in ("binary", "linear"):
-            raise ReconciliationFailure(f"unknown probe mode {probe!r}")
         sketch = HierarchySketch.from_bytes(payload, self.config, self.grid)
-        by_level = {level_sketch.level: level_sketch for level_sketch in sketch.levels}
-        levels = sorted(by_level)
-        probed: list[int] = []
-        outcomes: dict[int, DecodeResult] = {}
+        return self.repair_from_sketch(sketch, bob_points, strategy, probe)
 
-        def attempt(level: int) -> DecodeResult:
-            if level not in outcomes:
-                probed.append(level)
-                bob_table = self.level_table(
-                    bob_points, level, by_level[level].table.config.cells
-                )
-                diff = by_level[level].table.subtract(bob_table)
-                result = decode(
-                    diff,
-                    max_items=self.config.decode_item_limit,
-                )
-                if result.success and not self._balanced(
-                    result, sketch.n_points, len(bob_points)
-                ):
-                    result.success = False  # checksum-evading false decode
-                outcomes[level] = result
-            return outcomes[level]
+    def repair_from_sketch(
+        self,
+        sketch: HierarchySketch,
+        bob_points: list[Point],
+        strategy: str = "occurrence",
+        probe: str = "binary",
+    ) -> ReconcileResult:
+        """:meth:`decode_and_repair` over an already parsed sketch.
 
-        chosen = self._finest_decodable(levels, attempt, probe)
-        if chosen is None:
-            raise ReconciliationFailure(
-                f"no level of the hierarchy sketch decoded "
-                f"(difference exceeds budget k={self.config.k}?)"
-            )
-        result = outcomes[chosen]
+        Bob's keys come from one :meth:`ShiftedGridHierarchy.vector_key_pass`
+        shared by every probed level and the repair planner, or are hashed
+        per level where no pass is possible.
+        """
+        alice_tables = {
+            level_sketch.level: level_sketch.table for level_sketch in sketch.levels
+        }
+        key_pass = self.grid.vector_key_pass(bob_points, tuple(alice_tables))
+        level, result, probed = probe_levels(
+            alice_tables,
+            lambda level, alice_table: self.level_table(
+                bob_points, level, alice_table.config.cells, key_pass
+            ),
+            sketch.n_points,
+            len(bob_points),
+            self.config,
+            probe,
+        )
         plan = plan_repair(
             bob_points, result.alice_keys, result.bob_keys,
-            self.grid, chosen, strategy,
+            self.grid, level, strategy, key_pass,
         )
-        repaired = apply_repair(bob_points, plan)
         return ReconcileResult(
-            repaired=repaired,
-            level=chosen,
+            repaired=apply_repair(bob_points, plan),
+            level=level,
             alice_surplus=len(result.alice_keys),
             bob_surplus=len(result.bob_keys),
             plan=plan,
             levels_probed=probed,
         )
 
-    @staticmethod
-    def _balanced(result: DecodeResult, n_alice: int, n_bob: int) -> bool:
-        return len(result.alice_keys) - len(result.bob_keys) == n_alice - n_bob
 
-    @staticmethod
-    def _finest_decodable(levels, attempt, probe: str) -> int | None:
-        """Locate the smallest (finest) level whose table peels."""
-        if probe == "linear":
-            for level in levels:
-                if attempt(level).success:
-                    return level
-            return None
-        # Binary search: assume failure below the threshold, success above.
-        if attempt(levels[0]).success:
-            return levels[0]
-        low, high = 0, len(levels) - 1  # low fails; probe for first success
-        if not attempt(levels[high]).success:
-            # Coarsest failed too; fall back to scanning for any success.
-            for level in levels[1:-1]:
-                if attempt(level).success:
-                    return level
-            return None
-        while high - low > 1:
-            mid = (low + high) // 2
-            if attempt(levels[mid]).success:
-                high = mid
-            else:
-                low = mid
-        return levels[high]
+def probe_levels(
+    alice_tables: dict[int, IBLT],
+    bob_table: Callable[[int, IBLT], IBLT],
+    n_alice: int,
+    n_bob: int,
+    config: ProtocolConfig,
+    probe: str = "binary",
+) -> tuple[int, DecodeResult, list[int]]:
+    """Find the finest level of Alice's sketch that decodes against Bob's.
+
+    The one level-probe loop every hierarchy decoder shares.  Each probed
+    level subtracts ``bob_table(level, alice_table)`` from Alice's table,
+    peels it, and rejects a peel whose surplus counts disagree with the
+    point counts (a checksum-evading false decode).  Returns ``(level,
+    result, levels_probed)``, probed levels in probe order.
+
+    Raises
+    ------
+    ReconciliationFailure
+        On an unknown ``probe`` mode, an empty sketch, or when no level
+        decodes.
+    """
+    if probe not in ("binary", "linear"):
+        raise ReconciliationFailure(f"unknown probe mode {probe!r}")
+    levels = sorted(alice_tables)
+    if not levels:
+        raise ReconciliationFailure("hierarchy sketch carries no levels")
+    probed: list[int] = []
+    outcomes: dict[int, DecodeResult] = {}
+
+    def attempt(level: int) -> DecodeResult:
+        if level not in outcomes:
+            probed.append(level)
+            alice_table = alice_tables[level]
+            result = decode(
+                alice_table.subtract(bob_table(level, alice_table)),
+                max_items=config.decode_item_limit,
+            )
+            surplus = len(result.alice_keys) - len(result.bob_keys)
+            if result.success and surplus != n_alice - n_bob:
+                result.success = False  # checksum-evading false decode
+            outcomes[level] = result
+        return outcomes[level]
+
+    chosen = _finest_decodable(levels, attempt, probe)
+    if chosen is None:
+        raise ReconciliationFailure(
+            f"no level of the hierarchy sketch decoded "
+            f"(difference exceeds budget k={config.k}?)"
+        )
+    return chosen, outcomes[chosen], probed
+
+
+def _finest_decodable(levels, attempt, probe: str) -> int | None:
+    """Locate the smallest (finest) level whose table peels."""
+    if probe == "linear":
+        for level in levels:
+            if attempt(level).success:
+                return level
+        return None
+    # Binary search: assume failure below the threshold, success above.
+    if attempt(levels[0]).success:
+        return levels[0]
+    low, high = 0, len(levels) - 1  # low fails; probe for first success
+    if not attempt(levels[high]).success:
+        # Coarsest failed too; fall back to scanning for any success.
+        for level in levels[1:-1]:
+            if attempt(level).success:
+                return level
+        return None
+    while high - low > 1:
+        mid = (low + high) // 2
+        if attempt(levels[mid]).success:
+            high = mid
+        else:
+            low = mid
+    return levels[high]
 
 
 def reconcile(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.grid import Cell, ShiftedGridHierarchy
+from repro.core.grid import Cell, ShiftedGridHierarchy, VectorKeyPass
 from repro.emd.metrics import Point, distance
 from repro.errors import ConfigError, ReconciliationFailure
 
@@ -69,8 +69,14 @@ def plan_repair(
     grid: ShiftedGridHierarchy,
     level: int,
     strategy: str = "occurrence",
+    key_pass: VectorKeyPass | None = None,
 ) -> RepairPlan:
     """Build the edit script for Bob's set from the decoded key difference.
+
+    With ``key_pass`` (Bob's :class:`~repro.core.grid.VectorKeyPass`) only
+    the decoded surplus cells are looked up; without one — the no-numpy
+    path — every point is bucketed at ``level``.  Both see each cell's
+    points in the same sorted order, so they pick the same victims.
 
     Raises
     ------
@@ -88,10 +94,15 @@ def plan_repair(
         centre = grid.center(cell, level)
         plan.additions.extend(centre for _ in occurrences)
 
-    buckets = grid.bucket_points(bob_points, level)
-    for cell, occurrences in _group_surplus(bob_keys, grid, level).items():
-        bucket = buckets.get(cell)
-        if bucket is None:
+    surplus = _group_surplus(bob_keys, grid, level)
+    if surplus and key_pass is None:
+        buckets = grid.bucket_points(bob_points, level)
+    for cell, occurrences in surplus.items():
+        if key_pass is not None:
+            bucket = key_pass.cell_points(cell, level)
+        else:
+            bucket = buckets.get(cell)
+        if not bucket:
             raise ReconciliationFailure(
                 f"decoded Bob-surplus key names empty cell {cell} at level {level}"
             )
@@ -129,15 +140,23 @@ def apply_repair(bob_points: list[Point], plan: RepairPlan) -> list[Point]:
     """Apply an edit script, returning Bob's repaired set ``S'_B``.
 
     Removal is by identity-of-value with multiplicity (Bob's set is a
-    multiset of points).
+    multiset of points), first occurrences first, in one counting pass
+    over Bob's points: O(n + removals).
     """
-    repaired = list(bob_points)
+    pending: dict[Point, int] = {}
     for victim in plan.removals:
-        try:
-            repaired.remove(victim)
-        except ValueError as exc:
+        pending[victim] = pending.get(victim, 0) + 1
+    repaired: list[Point] = []
+    for point in bob_points:
+        count = pending.get(point, 0)
+        if count:
+            pending[point] = count - 1
+        else:
+            repaired.append(point)
+    for victim, count in pending.items():
+        if count:
             raise ReconciliationFailure(
                 f"repair removal {victim} not present in Bob's set"
-            ) from exc
+            )
     repaired.extend(plan.additions)
     return repaired

@@ -66,21 +66,27 @@ def build_level_sketches(
 ) -> list[LevelSketch]:
     """Build every sketched level's IBLT from one pass over the points.
 
-    The grid hashes all points into their per-level keys in a single batch
-    (vectorized when numpy is available), then each level's table ingests
-    its key vector through the backend's batch path — the hot loop of the
-    whole protocol, and the reason :class:`ProtocolConfig` carries a
+    The grid hashes all points into their per-level keys in a single pass
+    (a :class:`~repro.core.grid.VectorKeyPass` when numpy is available,
+    whose key arrays go straight to the backend), then each level's table
+    ingests its key vector through the backend's batch path — the hot loop
+    of the whole protocol, and the reason :class:`ProtocolConfig` carries a
     ``backend`` selection.
     """
     levels = config.sketch_levels
-    keys_by_level = grid.level_keys(points, levels)
+    key_pass = grid.vector_key_pass(points, levels)
+    if key_pass is None:
+        keys_by_level = grid.level_keys(points, levels)
     sketches = []
     for level in levels:
         cells = cells_by_level.get(level) if cells_by_level else None
         table = IBLT(
             level_iblt_config(config, grid, level, cells), backend=config.backend
         )
-        table.insert_many(keys_by_level[level])
+        if key_pass is not None:
+            table.insert_many(key_pass.keys(level))
+        else:
+            table.insert_many(keys_by_level[level])
         sketches.append(LevelSketch(level, table))
     return sketches
 

@@ -25,18 +25,11 @@ Per-shard sketches are sized to the *local* difference budget
 (``ceil(k / S)``) rather than the global worst case, so total communication
 stays ``O(k log delta)`` while every shard's tables shrink with ``S``.
 
-Two implementations back the per-shard work, chosen per task:
-
-* a **vectorized fast path** (numpy backend + int64-safe keys): one
-  :class:`~repro.core.grid.VectorKeyPass` per shard feeds key arrays
-  straight into the backend's batch kernels, the decoder reuses the pass
-  across probed levels, and repair planning groups only the decoded
-  surplus cells instead of bucketing every point;
-* the **reference path**: the shard simply runs
-  :class:`~repro.core.protocol.HierarchicalReconciler` as-is (always used
-  without numpy; also the oracle the fast path is tested against).
-
-Both produce bit-identical wire bytes and identical repairs.
+Each shard task only parses and frames its v2 payload; the hierarchy work
+itself — key passes, the level probe, repair planning and application —
+is :mod:`repro.core`'s single implementation
+(:meth:`~repro.core.protocol.HierarchicalReconciler.repair_from_sketch`),
+so a shard decodes exactly as an unsharded Bob would.
 """
 
 from __future__ import annotations
@@ -44,22 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-try:  # the engine runs (on the reference path) without numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    _np = None
-
 from repro.core.config import ProtocolConfig
-from repro.core.grid import ShiftedGridHierarchy, VectorKeyPass
-from repro.core.protocol import HierarchicalReconciler
-from repro.core.repair import RepairPlan, _choose_victims, _group_surplus, plan_repair
-from repro.core.sketch import LevelSketch, build_level_sketches, level_iblt_config
+from repro.core.protocol import HierarchicalReconciler, ReconcileResult
+from repro.core.repair import RepairPlan
+from repro.core.sketch import build_level_sketches
 from repro.emd.metrics import Point
-from repro.errors import ReconciliationFailure, SerializationError
+from repro.errors import SerializationError
 from repro.iblt.backends import available_backends
-from repro.iblt.decode import decode
-from repro.iblt.table import IBLT
-from repro.net.bits import BitReader, BitWriter
+from repro.net.bits import BitReader
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
 from repro.scale.executors import ShardExecutor, make_executor
@@ -104,219 +89,24 @@ def _shard_reconciler(config: ProtocolConfig) -> HierarchicalReconciler:
 # --------------------------------------------------------------- shard tasks
 #
 # Module-level functions over picklable arguments (configs, byte strings,
-# point sequences), so the process executor can ship them to workers.
-
-
-def _fast_pass(reconciler: HierarchicalReconciler, points) -> VectorKeyPass | None:
-    """A vectorized key pass when this shard qualifies for the fast path."""
-    config = reconciler.config
-    if _effective_backend(config) != "numpy":
-        return None
-    grid = reconciler.grid
-    if any(grid.key_bits(level) > 63 for level in config.sketch_levels):
-        return None
-    return grid.vector_key_pass(points)
+# point lists), so the process executor can ship them to workers.
 
 
 def _encode_shard_task(args) -> bytes:
     config, points = args
-    reconciler = _shard_reconciler(config)
-    key_pass = _fast_pass(reconciler, points)
-    grid = reconciler.grid
-    if key_pass is None:
-        point_list = _as_point_list(points)
-        sketches = build_level_sketches(config, grid, point_list)
-        return write_shard_sketch(len(point_list), sketches)
-    sketches = []
-    for level in config.sketch_levels:
-        table = IBLT(
-            level_iblt_config(config, grid, level), backend=config.backend
-        )
-        table.insert_many(key_pass.keys(level))
-        sketches.append(LevelSketch(level, table))
-    return write_shard_sketch(len(key_pass), sketches)
+    sketches = build_level_sketches(config, _shard_reconciler(config).grid, points)
+    return write_shard_sketch(len(points), sketches)
 
 
-@dataclass
-class _ShardDecode:
-    """What one shard's decode task reports back (kept pickle-small)."""
-
-    level: int
-    levels_probed: list[int]
-    plan: RepairPlan
-    alice_surplus: int
-    bob_surplus: int
-
-
-def _decode_shard_task(args) -> _ShardDecode:
+def _decode_shard_task(args) -> ReconcileResult:
     config, payload, points, n_alice, strategy = args
     if peek_n_points(payload) != n_alice:
         raise SerializationError(
             "shard directory count disagrees with the shard payload header"
         )
     reconciler = _shard_reconciler(config)
-    key_pass = _fast_pass(reconciler, points)
-    point_list = None if key_pass is not None else _as_point_list(points)
-    return _decode_parsed_shard(reconciler, payload, key_pass, point_list, strategy)
-
-
-def _decode_parsed_shard(
-    reconciler: HierarchicalReconciler,
-    payload: bytes,
-    key_pass: VectorKeyPass | None,
-    point_list: list[Point] | None,
-    strategy: str,
-) -> _ShardDecode:
-    """One shard's mirror of ``HierarchicalReconciler.decode_and_repair``.
-
-    Same probe order, same balance check, same failure modes, over the v2
-    shard payload.  With a key pass, per-probe re-hashing is replaced by
-    cached key arrays and the planner touches only decoded surplus cells;
-    without one (``point_list`` given) the reference table builder and
-    planner run instead.
-    """
-    config, grid = reconciler.config, reconciler.grid
-    n_bob = len(key_pass) if key_pass is not None else len(point_list)
-    sketch = read_shard_sketch(payload, config, grid)
-    by_level = {level_sketch.level: level_sketch for level_sketch in sketch.levels}
-    levels = sorted(by_level)
-    if not levels:
-        raise ReconciliationFailure("shard sketch carries no levels")
-    probed: list[int] = []
-    outcomes = {}
-
-    def attempt(level: int):
-        if level not in outcomes:
-            probed.append(level)
-            alice_table = by_level[level].table
-            if key_pass is not None:
-                bob_table = IBLT(alice_table.config, backend=config.backend)
-                bob_table.insert_many(key_pass.keys(level))
-            else:
-                bob_table = reconciler.level_table(
-                    point_list, level, alice_table.config.cells
-                )
-            result = decode(
-                alice_table.subtract(bob_table),
-                max_items=config.decode_item_limit,
-            )
-            if result.success and not HierarchicalReconciler._balanced(
-                result, sketch.n_points, n_bob
-            ):
-                result.success = False  # checksum-evading false decode
-            outcomes[level] = result
-        return outcomes[level]
-
-    chosen = HierarchicalReconciler._finest_decodable(levels, attempt, "binary")
-    if chosen is None:
-        raise ReconciliationFailure(
-            f"no level of the hierarchy sketch decoded "
-            f"(difference exceeds budget k={config.k}?)"
-        )
-    result = outcomes[chosen]
-    if key_pass is not None:
-        plan = _plan_repair_vectorized(
-            key_pass, grid, chosen, result.alice_keys, result.bob_keys, strategy
-        )
-    else:
-        plan = plan_repair(
-            point_list, result.alice_keys, result.bob_keys, grid, chosen, strategy
-        )
-    return _ShardDecode(
-        level=chosen,
-        levels_probed=probed,
-        plan=plan,
-        alice_surplus=len(result.alice_keys),
-        bob_surplus=len(result.bob_keys),
-    )
-
-
-def _plan_repair_vectorized(
-    key_pass: VectorKeyPass,
-    grid: ShiftedGridHierarchy,
-    level: int,
-    alice_keys: list[int],
-    bob_keys: list[int],
-    strategy: str,
-) -> RepairPlan:
-    """:func:`repro.core.repair.plan_repair` touching only surplus cells.
-
-    The reference planner buckets *every* point at the chosen level; here
-    the pass's cell-id array is argsorted once and each decoded surplus
-    cell becomes a binary search + a slice.  Victim choice is identical:
-    slices come out in the pass's coordinate-sorted order, the exact order
-    the reference sorts buckets into.
-    """
-    plan = RepairPlan(level=level)
-    for cell, occurrences in _group_surplus(alice_keys, grid, level).items():
-        centre = grid.center(cell, level)
-        plan.additions.extend(centre for _ in occurrences)
-    if not bob_keys:
-        return plan
-
-    cell_keys = key_pass.cell_keys(level)
-    by_cell = _np.argsort(cell_keys, kind="stable")
-    sorted_cells = cell_keys[by_cell]
-    occ_bits = grid.occupancy_bits
-    for cell, occurrences in _group_surplus(bob_keys, grid, level).items():
-        packed = grid.pack_key(cell, 0, level) >> occ_bits
-        lo = int(_np.searchsorted(sorted_cells, packed, side="left"))
-        hi = int(_np.searchsorted(sorted_cells, packed, side="right"))
-        if hi == lo:
-            raise ReconciliationFailure(
-                f"decoded Bob-surplus key names empty cell {cell} at level {level}"
-            )
-        for occurrence in occurrences:
-            if occurrence >= hi - lo:
-                raise ReconciliationFailure(
-                    f"decoded occurrence {occurrence} exceeds Bob's "
-                    f"{hi - lo} points in cell {cell}"
-                )
-        count = len(occurrences)
-        if strategy == "occurrence":
-            victims = [
-                key_pass.sorted_point(int(i)) for i in by_cell[hi - count:hi]
-            ]
-        else:
-            bucket = [key_pass.sorted_point(int(i)) for i in by_cell[lo:hi]]
-            victims = _choose_victims(bucket, count, strategy)
-        plan.removals.extend(victims)
-    return plan
-
-
-def _as_point_list(points) -> list[Point]:
-    """Materialise a task's point block as the tuple list the core expects."""
-    if isinstance(points, list):
-        return points
-    return [tuple(row) for row in points.tolist()]
-
-
-def _apply_plan(points: list[Point], plan: RepairPlan) -> list[Point]:
-    """Multiset-equivalent of :func:`repro.core.repair.apply_repair`.
-
-    One counting pass instead of a linear scan per removal — the reference
-    applier costs O(removals x n), which dominates decode for large edit
-    scripts.  Same failure mode when a victim is missing.
-    """
-    if not plan.removals:
-        return list(points) + plan.additions
-    pending: dict[Point, int] = {}
-    for victim in plan.removals:
-        pending[victim] = pending.get(victim, 0) + 1
-    repaired: list[Point] = []
-    for point in points:
-        count = pending.get(point, 0)
-        if count:
-            pending[point] = count - 1
-        else:
-            repaired.append(point)
-    for victim, count in pending.items():
-        if count:
-            raise ReconciliationFailure(
-                f"repair removal {victim} not present in Bob's set"
-            )
-    repaired.extend(plan.additions)
-    return repaired
+    sketch = read_shard_sketch(payload, config, reconciler.grid)
+    return reconciler.repair_from_sketch(sketch, points, strategy)
 
 
 # ------------------------------------------------------------------ results
@@ -402,43 +192,11 @@ class ShardedReconciler:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # ---------------------------------------------------------- partitioning
-
-    def _split_blocks(self, points, want_lists: bool):
-        """Per-shard point blocks: numpy slices on the fast path, lists off it.
-
-        Returns ``(blocks, lists)`` where ``blocks`` feed shard tasks and
-        ``lists`` (same multisets, or ``None`` unless requested) feed the
-        merge step.
-        """
-        if not isinstance(points, (list, tuple)):
-            points = list(points)
-        shards = self.config.shards
-        if shards == 1:
-            block = list(points)
-            return [block], ([block] if want_lists else None)
-        vectorized = self.partitioner.vector_partition(points)
-        if vectorized is not None:
-            array, ids = vectorized
-            order = _np.argsort(ids, kind="stable")
-            bounds = _np.searchsorted(ids[order], _np.arange(shards + 1))
-            blocks = [
-                array[order[bounds[s]:bounds[s + 1]]] for s in range(shards)
-            ]
-            lists = None
-            if want_lists:
-                lists = [
-                    [tuple(row) for row in block.tolist()] for block in blocks
-                ]
-            return blocks, lists
-        lists = self.partitioner.split(points)
-        return lists, (lists if want_lists else None)
-
     # ------------------------------------------------------------- Alice
 
     def encode(self, points) -> bytes:
         """Alice's single message: the shard directory plus every shard."""
-        blocks, _ = self._split_blocks(points, want_lists=False)
+        blocks = self.partitioner.split(points)
         payloads = self.executor.map(
             _encode_shard_task,
             [(self.shard_config, block) for block in blocks],
@@ -481,7 +239,7 @@ class ShardedReconciler:
     ) -> ShardedResult:
         """Bob's side: decode every shard, merge the edit scripts."""
         counts, payloads = self.parse_frame(payload)
-        blocks, lists = self._split_blocks(bob_points, want_lists=True)
+        blocks = self.partitioner.split(bob_points)
         shard_results = self.executor.map(
             _decode_shard_task,
             [
@@ -489,11 +247,8 @@ class ShardedReconciler:
                 for shard_payload, block, n_alice in zip(payloads, blocks, counts)
             ],
         )
-        repaired: list[Point] = []
-        for shard_points, shard in zip(lists, shard_results):
-            repaired.extend(_apply_plan(shard_points, shard.plan))
         return ShardedResult(
-            repaired=repaired,
+            repaired=[point for shard in shard_results for point in shard.repaired],
             shard_levels=[shard.level for shard in shard_results],
             alice_surplus=sum(s.alice_surplus for s in shard_results),
             bob_surplus=sum(s.bob_surplus for s in shard_results),

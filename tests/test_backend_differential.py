@@ -8,12 +8,15 @@ hypothesis when installed, seeded random sweeps otherwise.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import HierarchicalReconciler, reconcile
+from repro.core.repair import REPAIR_STRATEGIES
 from repro.iblt.backends import available_backends
 from repro.iblt.decode import decode
 from repro.iblt.table import IBLT, IBLTConfig
@@ -27,6 +30,12 @@ except ImportError:  # pragma: no cover - hypothesis is an optional extra
     HAVE_HYPOTHESIS = False
 
 ALT_BACKENDS = [name for name in available_backends() if name != "pure"]
+
+GOLDEN_FIXTURES = sorted(
+    path
+    for path in (Path(__file__).parent / "golden").glob("*.json")
+    if "adaptive" not in path.name
+)
 
 pytestmark = pytest.mark.skipif(
     not ALT_BACKENDS, reason="only the pure backend is available"
@@ -197,3 +206,26 @@ def test_wide_key_tables_fall_back_under_auto(backend):
     assert table.backend_name == "pure"
     table.insert((1 << 199) | 12345)
     assert IBLT.from_bytes(table.to_bytes(), config).to_bytes() == table.to_bytes()
+
+
+@pytest.mark.parametrize("strategy", REPAIR_STRATEGIES)
+@pytest.mark.parametrize("path", GOLDEN_FIXTURES, ids=lambda path: path.stem)
+def test_golden_decode_and_repair_identical_across_backends(path, strategy):
+    """One-round Bob's whole result, ordering included, is backend-free."""
+    if "numpy" not in ALT_BACKENDS:
+        pytest.skip("numpy backend unavailable")
+    data = json.loads(path.read_text())
+    alice = [tuple(point) for point in data["alice"]]
+    bob = [tuple(point) for point in data["bob"]]
+    results = []
+    for backend in ("pure", "numpy"):
+        reconciler = HierarchicalReconciler(
+            ProtocolConfig(backend=backend, **data["config"])
+        )
+        payload = reconciler.encode(alice)
+        results.append(reconciler.decode_and_repair(payload, bob, strategy))
+    pure, fast = results
+    assert pure.repaired == fast.repaired
+    assert pure.plan == fast.plan
+    assert pure.level == fast.level
+    assert pure.levels_probed == fast.levels_probed

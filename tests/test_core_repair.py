@@ -1,4 +1,9 @@
-"""Unit tests for the repair planner and edit application."""
+"""Unit tests for the repair planner and edit application.
+
+Every planner case runs on both of the planner's key sources: bucketing
+Bob's points (the no-numpy path) and Bob's vectorized key pass (where
+numpy allows one).
+"""
 
 import random
 
@@ -18,12 +23,21 @@ def make_grid(delta=256, dimension=2, seed=9):
     return ShiftedGridHierarchy(delta, dimension, seed)
 
 
+def key_passes(grid, bob_points):
+    """``None`` (bucket every point), then a key pass when one is possible."""
+    yield None
+    key_pass = grid.vector_key_pass(bob_points)
+    if key_pass is not None:
+        yield key_pass
+
+
 class TestPlanRepair:
     def test_empty_difference_empty_plan(self):
         grid = make_grid()
-        plan = plan_repair([(1, 1)], [], [], grid, 3)
-        assert plan.additions == []
-        assert plan.removals == []
+        for key_pass in key_passes(grid, [(1, 1)]):
+            plan = plan_repair([(1, 1)], [], [], grid, 3, key_pass=key_pass)
+            assert plan.additions == []
+            assert plan.removals == []
 
     def test_alice_surplus_becomes_centres(self):
         grid = make_grid()
@@ -31,9 +45,12 @@ class TestPlanRepair:
         alice_point = (100, 100)
         cell = grid.cell(alice_point, level)
         key = grid.pack_key(cell, 0, level)
-        plan = plan_repair([(200, 200)], [key], [], grid, level)
-        assert plan.additions == [grid.center(cell, level)]
-        assert plan.removals == []
+        for key_pass in key_passes(grid, [(200, 200)]):
+            plan = plan_repair(
+                [(200, 200)], [key], [], grid, level, key_pass=key_pass
+            )
+            assert plan.additions == [grid.center(cell, level)]
+            assert plan.removals == []
 
     def test_bob_surplus_removes_his_points(self):
         grid = make_grid()
@@ -43,9 +60,10 @@ class TestPlanRepair:
         bucket = grid.bucket_points(bob_points, level)[cell]
         # Bob has len(bucket) points there; Alice has one fewer.
         key = grid.pack_key(cell, len(bucket) - 1, level)
-        plan = plan_repair(bob_points, [], [key], grid, level)
-        assert len(plan.removals) == 1
-        assert plan.removals[0] in bucket
+        for key_pass in key_passes(grid, bob_points):
+            plan = plan_repair(bob_points, [], [key], grid, level, key_pass=key_pass)
+            assert len(plan.removals) == 1
+            assert plan.removals[0] in bucket
 
     def test_occurrence_strategy_removes_top_ranked(self):
         grid = make_grid()
@@ -56,21 +74,29 @@ class TestPlanRepair:
         co_located = [p for p in cell_points if grid.cell(p, level) == cell]
         if len(co_located) >= 2:
             key = grid.pack_key(cell, len(co_located) - 1, level)
-            plan = plan_repair(co_located, [], [key], grid, level)
-            assert plan.removals == [sorted(co_located)[-1]]
+            for key_pass in key_passes(grid, co_located):
+                plan = plan_repair(
+                    co_located, [], [key], grid, level, key_pass=key_pass
+                )
+                assert plan.removals == [sorted(co_located)[-1]]
 
     def test_unknown_strategy_rejected(self):
         grid = make_grid()
-        with pytest.raises(ConfigError):
-            plan_repair([], [], [], grid, 1, strategy="nonsense")
+        for key_pass in key_passes(grid, [(1, 1)]):
+            with pytest.raises(ConfigError):
+                plan_repair(
+                    [(1, 1)], [], [], grid, 1, strategy="nonsense",
+                    key_pass=key_pass,
+                )
 
     def test_phantom_cell_raises(self):
         grid = make_grid()
         level = 3
         cell = grid.cell((10, 10), level)
         key = grid.pack_key(cell, 0, level)
-        with pytest.raises(ReconciliationFailure):
-            plan_repair([(200, 200)], [], [key], grid, level)
+        for key_pass in key_passes(grid, [(200, 200)]):
+            with pytest.raises(ReconciliationFailure, match="empty cell"):
+                plan_repair([(200, 200)], [], [key], grid, level, key_pass=key_pass)
 
     def test_phantom_occurrence_raises(self):
         grid = make_grid()
@@ -78,8 +104,9 @@ class TestPlanRepair:
         bob_points = [(10, 10)]
         cell = grid.cell((10, 10), level)
         key = grid.pack_key(cell, 5, level)  # rank 5 in a 1-point cell
-        with pytest.raises(ReconciliationFailure):
-            plan_repair(bob_points, [], [key], grid, level)
+        for key_pass in key_passes(grid, bob_points):
+            with pytest.raises(ReconciliationFailure, match="exceeds Bob's"):
+                plan_repair(bob_points, [], [key], grid, level, key_pass=key_pass)
 
     @pytest.mark.parametrize("strategy", REPAIR_STRATEGIES)
     def test_strategies_remove_correct_counts(self, strategy):
@@ -93,10 +120,16 @@ class TestPlanRepair:
         keys = [
             grid.pack_key(cell, len(bucket) - 1 - i, level) for i in range(surplus)
         ]
-        plan = plan_repair(bob_points, [], keys, grid, level, strategy)
-        assert len(plan.removals) == surplus
-        for victim in plan.removals:
-            assert victim in bucket
+        plans = [
+            plan_repair(bob_points, [], keys, grid, level, strategy, key_pass)
+            for key_pass in key_passes(grid, bob_points)
+        ]
+        for plan in plans:
+            assert len(plan.removals) == surplus
+            for victim in plan.removals:
+                assert victim in bucket
+        # Both key sources see each cell in sorted order: same victims.
+        assert all(plan.removals == plans[0].removals for plan in plans)
 
 
 class TestApplyRepair:
@@ -109,6 +142,18 @@ class TestApplyRepair:
         plan = RepairPlan(level=1, additions=[], removals=[(5, 5)])
         repaired = apply_repair([(5, 5), (5, 5)], plan)
         assert repaired == [(5, 5)]
+        # Duplicate victims interleaved with survivors: first occurrences
+        # go first, and the survivors keep their order (list.remove's
+        # result, which the counting pass must reproduce).
+        bob_points = [(5, 5), (1, 1), (5, 5), (2, 2), (5, 5), (1, 1)]
+        plan = RepairPlan(
+            level=0, additions=[(9, 9)], removals=[(5, 5), (1, 1), (5, 5)]
+        )
+        expected = list(bob_points)
+        for victim in plan.removals:
+            expected.remove(victim)
+        assert apply_repair(bob_points, plan) == expected + [(9, 9)]
+        assert expected == [(2, 2), (5, 5), (1, 1)]
 
     def test_missing_removal_raises(self):
         plan = RepairPlan(level=1, additions=[], removals=[(7, 7)])

@@ -175,6 +175,18 @@ class TestShardedReconciler:
             assert pure_result.shard_levels == fast_result.shard_levels
             assert sorted(pure_result.repaired) == sorted(fast_result.repaired)
 
+    @pytest.mark.parametrize("backend", ["pure", "numpy"])
+    def test_unknown_strategy_rejected_on_every_backend(self, backend):
+        # Regression: the numpy path once took any unknown strategy as
+        # "centroid" while the pure path raised.
+        if backend == "numpy" and not HAVE_NUMPY:
+            pytest.skip("numpy unavailable")
+        w = _workload(noise=2.0, n=100)
+        with pytest.raises(ConfigError, match="strategy"):
+            reconcile_sharded(
+                w.alice, w.bob, _config(w, backend=backend), strategy="nonsense"
+            )
+
     def test_mismatched_shard_count_rejected(self):
         w = _workload(noise=0)
         with ShardedReconciler(_config(w, shards=4)) as four:
