@@ -310,6 +310,33 @@ class ShiftedGridHierarchy:
         order = _np.lexsort(shifted.T[::-1])  # first coordinate is primary
         return VectorKeyPass(self, shifted[order], order)
 
+    def cell_ids(
+        self, points: Sequence[Point], levels: Sequence[int]
+    ) -> "dict[int, list[int] | _np.ndarray]":
+        """Packed cell id (:meth:`cell_id`) per point, in input order, for
+        every requested level.
+
+        One validation + shift of the whole block when numpy can host it
+        (the same width rule as :meth:`vector_key_pass`), then only
+        per-level bit arithmetic, giving int64 arrays; otherwise
+        :meth:`cell_id` per point, giving lists.
+        """
+        for level in levels:
+            self._check_level(level)
+        array = None
+        if all(self.key_bits(level) <= 63 for level in levels):
+            array = self.vector_points(points)
+        if array is None:
+            return {
+                level: [self.cell_id(point, level) for point in points]
+                for level in levels
+            }
+        shifted = array + _np.asarray(self.shift, dtype=_np.int64)
+        return {
+            level: pack_cells(shifted >> level, self.coord_bits(level))
+            for level in levels
+        }
+
     def _level_keys_vectorized(
         self, points: Sequence[Point], levels: Sequence[int]
     ) -> dict[int, list[int]] | None:
@@ -328,6 +355,30 @@ class ShiftedGridHierarchy:
         if metric == "linf":
             return side
         return side * (self.dimension ** 0.5)
+
+
+def pack_cells(cells: "_np.ndarray", bits: int) -> "_np.ndarray":
+    """Vectorized cell-id packing of an ``(n, d)`` block of cell indices
+    (already shifted and floored to one level), ``bits`` per coordinate."""
+    packed = cells[:, 0].copy()
+    for column in range(1, cells.shape[1]):
+        packed = (packed << bits) | cells[:, column]
+    return packed
+
+
+def occurrence_ranks(ids: "_np.ndarray") -> "_np.ndarray":
+    """Per element, how many earlier elements (in array order) share its
+    value — the occurrence rank, vectorized (int64)."""
+    n = ids.shape[0]
+    order = _np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    starts = _np.flatnonzero(
+        _np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    )
+    sizes = _np.diff(_np.append(starts, n))
+    ranks = _np.empty(n, dtype=_np.int64)
+    ranks[order] = _np.arange(n, dtype=_np.int64) - _np.repeat(starts, sizes)
+    return ranks
 
 
 class VectorKeyPass:
@@ -373,11 +424,7 @@ class VectorKeyPass:
         if cached is not None:
             return cached
         self.grid._check_level(level)
-        bits = self.grid.coord_bits(level)
-        cells = self._shifted >> level
-        cell_key = cells[:, 0].copy()
-        for column in range(1, self.grid.dimension):
-            cell_key = (cell_key << bits) | cells[:, column]
+        cell_key = pack_cells(self._shifted >> level, self.grid.coord_bits(level))
         self._cell_keys[level] = cell_key
         return cell_key
 
@@ -411,21 +458,11 @@ class VectorKeyPass:
                 "the vectorized pass handles at most 63"
             )
         cell_key = self.cell_keys(level)
-        n = cell_key.shape[0]
         occ_bits = self.grid.occupancy_bits
         occ_limit = 1 << occ_bits
         # Occurrence rank = number of earlier points (in sorted order)
-        # sharing the cell.  Equal cells need not be adjacent, so group
-        # via a stable argsort of the group ids.
-        _, inverse = _np.unique(cell_key, return_inverse=True)
-        grouped = _np.argsort(inverse, kind="stable")
-        sorted_inverse = inverse[grouped]
-        starts = _np.flatnonzero(
-            _np.concatenate(([True], sorted_inverse[1:] != sorted_inverse[:-1]))
-        )
-        sizes = _np.diff(_np.append(starts, n))
-        ranks = _np.empty(n, dtype=_np.int64)
-        ranks[grouped] = _np.arange(n, dtype=_np.int64) - _np.repeat(starts, sizes)
+        # sharing the cell; equal cells need not be adjacent.
+        ranks = occurrence_ranks(cell_key)
         if int(ranks.max()) >= occ_limit:
             raise CapacityExceeded(
                 f"more than {occ_limit} points share a level-{level} "

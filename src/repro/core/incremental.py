@@ -16,23 +16,94 @@ update, and the produced message is bit-identical to a from-scratch
 :meth:`~repro.core.protocol.HierarchicalReconciler.encode` of the same
 multiset.
 
-Bulk loads take a batch shortcut: when :meth:`IncrementalSketch.insert_all`
-is called on an empty sketch, the whole point set goes through the grid's
-single-pass key builder and each level's backend batch insert — the same
-vectorized path a from-scratch encode uses — before switching to per-point
-maintenance.
+Every update — one point, a live batch, a bulk load, a replayed WAL
+record — takes the same two steps.  :meth:`IncrementalSketch.plan` turns
+a batch into per-level key lists (one grid pass for the cell ids, then a
+rank per point from the live counts plus the batch's earlier points) and
+validates all of it; :meth:`IncrementalSketch.apply` then lands each
+level with one signed backend batch.  Because cells add and xor, a
+batch's deltas commute into that one scatter per level.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
+
+try:  # numpy vectorizes batch ranking; everything works without it
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    _np = None
+
 from repro.core.config import ProtocolConfig
-from repro.core.grid import ShiftedGridHierarchy
+from repro.core.grid import ShiftedGridHierarchy, occurrence_ranks
 from repro.core.protocol import probe_levels
 from repro.core.sketch import HierarchySketch, LevelSketch, level_iblt_config
 from repro.emd.metrics import Point
-from repro.errors import CapacityExceeded, ReconciliationFailure
+from repro.errors import CapacityExceeded, ConfigError, ReconciliationFailure
 from repro.iblt.decode import DecodeResult
 from repro.iblt.table import IBLT
+
+
+def _batch_keys(cell_ids, counts: dict[int, int], sign: int, occ_bits: int):
+    """One level's packed keys for a batch, in point order: ``(keys, bad)``.
+
+    An insert takes rank ``c``, a remove rank ``c - 1``, where ``c`` is the
+    cell's live count plus the batch's earlier net updates to that cell.
+    ``bad`` is ``None`` or the index of the first point whose rank falls
+    outside the occupancy field (full field / empty cell); ``cell_ids`` is
+    a list, or an int64 array ranked vectorized.
+    """
+    occ_limit = 1 << occ_bits
+    if isinstance(cell_ids, list):
+        keys: list[int] = []
+        batch: dict[int, int] = {}  # cell -> count once the batch so far lands
+        for index, cell_id in enumerate(cell_ids):
+            count = batch.get(cell_id)
+            if count is None:
+                count = counts.get(cell_id, 0)
+            rank = count if sign > 0 else count - 1
+            if not 0 <= rank < occ_limit:
+                return keys, index
+            batch[cell_id] = count + sign
+            keys.append((cell_id << occ_bits) | rank)
+        return keys, None
+    cells, inverse = _np.unique(cell_ids, return_inverse=True)
+    live = _np.array(list(map(counts.get, cells.tolist(), repeat(0))), _np.int64)
+    ranks = live[inverse] + sign * occurrence_ranks(cell_ids) - (sign < 0)
+    bad = (ranks < 0) | (ranks >= occ_limit)
+    if bad.any():
+        return None, int(_np.argmax(bad))
+    return (cell_ids << occ_bits) | ranks, None
+
+
+def _land_counts(counts: dict[int, int], keys, signs, occ_bits: int) -> int:
+    """Fold one level's landed key deltas into its per-cell counts.
+
+    Each key's rank field fixes its cell's count once it lands (an insert
+    of rank ``r`` leaves ``r + 1`` points, a delete leaves ``r``), so the
+    last delta per cell wins and an emptied cell drops out.  Returns the
+    net point change (the sum of ``signs``).
+    """
+    rank_mask = (1 << occ_bits) - 1
+    if isinstance(keys, list):
+        for key, sign in zip(keys, signs):
+            rank = key & rank_mask
+            if sign > 0:
+                counts[key >> occ_bits] = rank + 1
+            elif rank:
+                counts[key >> occ_bits] = rank
+            else:
+                counts.pop(key >> occ_bits, None)
+        return sum(signs)
+    keys = keys.astype(_np.uint64, copy=False)
+    rising = _np.asarray(signs) > 0
+    cells = keys >> _np.uint64(occ_bits)
+    values = (keys & _np.uint64(rank_mask)).astype(_np.int64) + rising
+    counts.update(zip(cells.tolist(), values.tolist()))  # the last write wins
+    for cell in cells[values == 0].tolist():
+        if counts.get(cell) == 0:
+            del counts[cell]
+    return 2 * int(rising.sum()) - len(keys)
 
 
 class IncrementalSketch:
@@ -67,153 +138,111 @@ class IncrementalSketch:
             level: {} for level in config.sketch_levels
         }
 
-    def plan_insert(
-        self, point: Point, pending: dict[tuple[int, int], int] | None = None
-    ) -> list[tuple[int, int]]:
-        """The key deltas inserting ``point`` would apply: one per level.
+    def plan(self, points, sign: int) -> list[tuple]:
+        """The key deltas inserting (``sign=+1``) or removing (``-1``) a
+        whole batch applies: ``[(level, keys, signs), ...]``, finest level
+        first, each level's keys in point order (an int64 array when numpy
+        ranked the batch, else a list).
 
-        Validates every level's occupancy before committing to anything,
-        so a ``CapacityExceeded`` plans nothing.  ``pending`` is a
-        ``(level, cell_id) -> count delta`` overlay for batch planning:
-        ranks are assigned as if the overlay's earlier (still unapplied)
-        deltas had landed, and the overlay is advanced in place.  The
-        durable store uses this to frame a whole batch into one WAL
-        record *before* mutating the sketch.
+        Nothing is mutated, so a batch can be framed (the durable store's
+        WAL record) before :meth:`apply` lands it.  Every level of every
+        point is validated first: a ``CapacityExceeded`` (full occupancy
+        field) or ``ReconciliationFailure`` (remove from an empty cell)
+        plans nothing, and names the first point, in batch order, that a
+        point-by-point run would have failed on.
         """
-        occ_bits = self.grid.occupancy_bits
-        occ_limit = 1 << occ_bits
-        cell_ids = {
-            level: self.grid.cell_id(point, level) for level in self._tables
-        }
-        ranks: dict[int, int] = {}
-        for level, cell_id in cell_ids.items():
-            rank = self._cell_counts[level].get(cell_id, 0)
-            if pending is not None:
-                rank += pending.get((level, cell_id), 0)
-            if rank >= occ_limit:
-                raise CapacityExceeded(
-                    f"cell {self.grid.cell(point, level)} at level {level} "
-                    f"exceeds the {occ_bits}-bit occupancy field"
-                )
-            ranks[level] = rank
-        if pending is not None:
-            for level, cell_id in cell_ids.items():
-                pending[(level, cell_id)] = pending.get((level, cell_id), 0) + 1
-        return [
-            (level, (cell_id << occ_bits) | ranks[level])
-            for level, cell_id in cell_ids.items()
-        ]
+        planned, failure = self._plan(list(points), sign)
+        if failure is not None:
+            raise failure[1]
+        return planned
 
-    def plan_remove(
-        self, point: Point, pending: dict[tuple[int, int], int] | None = None
-    ) -> list[tuple[int, int]]:
-        """The key deltas removing one point of ``point``'s cells applies.
+    def _plan(self, points: list[Point], sign: int):
+        """:meth:`plan` returning ``(planned, failure)`` instead of raising.
 
-        Same batch-overlay contract as :meth:`plan_insert`; a failed plan
-        (empty cell) advances nothing.
+        ``failure`` is ``None`` or ``(index, error)`` for the first failing
+        point, so the sharded sketch can pick the earliest failure across
+        shards.  Ranks follow batch order: a point sees the live count of
+        its cell plus every earlier point of the batch in that cell.
         """
-        cell_ids = {
-            level: self.grid.cell_id(point, level) for level in self._tables
-        }
-        ranks: dict[int, int] = {}
-        for level, cell_id in cell_ids.items():
-            count = self._cell_counts[level].get(cell_id, 0)
-            if pending is not None:
-                count += pending.get((level, cell_id), 0)
-            if count <= 0:
-                raise ReconciliationFailure(
-                    f"remove of {point}: cell {self.grid.cell(point, level)} "
-                    f"at level {level} is empty"
-                )
-            ranks[level] = count - 1
-        if pending is not None:
-            for level, cell_id in cell_ids.items():
-                pending[(level, cell_id)] = pending.get((level, cell_id), 0) - 1
+        if sign not in (1, -1):
+            raise ConfigError(f"a batch sign is +1 or -1, got {sign}")
         occ_bits = self.grid.occupancy_bits
-        return [
-            (level, (cell_id << occ_bits) | ranks[level])
-            for level, cell_id in cell_ids.items()
-        ]
-
-    def apply_delta(self, level: int, key: int, sign: int) -> None:
-        """Apply one planned key delta (``sign`` is +1 insert / -1 delete).
-
-        The inverse of planning: touches exactly one cell of one level's
-        table and maintains the per-cell count from the key's rank field
-        (an insert of rank ``r`` means the cell now holds ``r + 1``
-        points; a delete of rank ``r`` means it holds ``r``).  Point
-        accounting rides on the finest level — every per-point plan
-        carries exactly one key there — so replaying a WAL's deltas in
-        log order rebuilds ``n_points`` too.
-        """
-        occ_bits = self.grid.occupancy_bits
-        cell_id = key >> occ_bits
-        rank = key & ((1 << occ_bits) - 1)
-        counts = self._cell_counts[level]
+        levels = self.config.sketch_levels
+        cell_ids = self.grid.cell_ids(points, levels)
+        planned = []
+        failure: tuple[int, int] | None = None
+        for level in levels:
+            keys, bad = _batch_keys(
+                cell_ids[level], self._cell_counts[level], sign, occ_bits
+            )
+            if bad is not None:
+                if failure is None or bad < failure[0]:
+                    failure = (bad, level)
+                continue
+            planned.append((level, keys, [sign] * len(keys)))
+        if failure is None:
+            return planned, None
+        index, level = failure
+        point = points[index]
+        cell = self.grid.cell(point, level)
         if sign > 0:
-            self._tables[level].insert(key)
-            counts[cell_id] = rank + 1
+            error = CapacityExceeded(
+                f"cell {cell} at level {level} "
+                f"exceeds the {occ_bits}-bit occupancy field"
+            )
         else:
-            self._tables[level].delete(key)
-            if rank == 0:
-                counts.pop(cell_id, None)
-            else:
-                counts[cell_id] = rank
-        if level == self.config.sketch_levels[0]:
-            self.n_points += 1 if sign > 0 else -1
+            error = ReconciliationFailure(
+                f"remove of {point}: cell {cell} at level {level} is empty"
+            )
+        return [], (index, error)
+
+    def apply(self, planned) -> None:
+        """Land planned key deltas: one signed backend batch and one count
+        pass per level.
+
+        ``planned`` is :meth:`plan`'s output, or the same shape decoded
+        from a WAL record.  The count pass reads each key's rank field (an
+        insert of rank ``r`` leaves ``r + 1`` points in the cell, a delete
+        leaves ``r``), so replaying deltas in log order rebuilds the
+        counts; ``n_points`` follows the finest level's signs, which carry
+        exactly one key per point.
+        """
+        occ_bits = self.grid.occupancy_bits
+        finest = self.config.sketch_levels[0]
+        for level, keys, signs in planned:
+            self._tables[level].apply_many(keys, signs)
+            net = _land_counts(self._cell_counts[level], keys, signs, occ_bits)
+            if level == finest:
+                self.n_points += net
 
     def insert(self, point: Point) -> None:
-        """Add one point: one key per level.
-
-        Validates every level's occupancy before touching any table, so a
-        ``CapacityExceeded`` leaves the sketch unchanged.
-        """
-        for level, key in self.plan_insert(point):
-            self.apply_delta(level, key, 1)
+        """Add one point (a one-element :meth:`insert_all`)."""
+        self.insert_all([point])
 
     def remove(self, point: Point) -> None:
         """Remove one point of the multiset (any point of its cells).
 
         Occurrence keys carry no identity, so removing *some* point from
         each of the point's cells is exactly removing this point from the
-        sketch's perspective.
+        sketch's perspective.  An empty cell at any level raises
+        ``ReconciliationFailure`` and leaves the sketch unchanged.
         """
-        for level, key in self.plan_remove(point):
-            self.apply_delta(level, key, -1)
+        self.apply(self.plan([point], -1))
 
     def insert_all(self, points) -> None:
-        """Insert every point of an iterable.
+        """Insert every point of an iterable as one batch.
 
-        An initial load into an empty sketch runs as one batch — a single
-        grid pass plus one backend batch insert per level; later calls fall
-        back to per-point maintenance.
+        Atomic: the whole batch is planned (and validated) before any
+        table moves, so a ``CapacityExceeded`` leaves the sketch as it was.
         """
-        points = list(points)
-        if self.n_points == 0 and points:
-            self._bulk_load(points)
-            return
-        for point in points:
-            self.insert(point)
-
-    def _bulk_load(self, points: list[Point]) -> None:
-        keys_by_level = self.grid.level_keys(points, tuple(self._tables))
-        occ_bits = self.grid.occupancy_bits
-        for level, table in self._tables.items():
-            keys = keys_by_level[level]
-            table.insert_many(keys)
-            counts: dict[int, int] = {}
-            for key in keys:
-                cell_id = key >> occ_bits
-                counts[cell_id] = counts.get(cell_id, 0) + 1
-            self._cell_counts[level] = counts
-        self.n_points = len(points)
+        self.apply(self.plan(points, 1))
 
     def level_cell_counts(self, level: int) -> dict[int, int]:
         """One level's live per-cell point counts (read-only view).
 
         The snapshot writer persists these alongside the cells: they are
         *not* derivable from the IBLT (whose cells are sums over hashed
-        rows), yet per-point maintenance needs them to assign ranks.
+        rows), yet :meth:`plan` needs them to assign ranks.
         """
         return self._cell_counts[level]
 

@@ -72,12 +72,15 @@ class Backend(abc.ABC):
         """Insert (``delta=+1``) or delete (``-1``) a single key."""
 
     @abc.abstractmethod
-    def apply_batch(self, keys: Sequence[int], delta: int) -> None:
+    def apply_batch(self, keys: Sequence[int], delta: "int | Sequence[int]") -> None:
         """Insert or delete a whole batch of keys.
 
-        Must be equivalent to ``for key in keys: self.apply(key, delta)``
-        (duplicates included); batches may be empty or larger than the
-        table.  Keys are validated exactly like single-key updates.
+        ``delta`` is one count delta for every key, or a per-key sequence
+        parallel to ``keys`` (a signed batch: ``+1`` inserts, ``-1``
+        deletes).  Must be equivalent to ``for key, d in zip(keys,
+        deltas): self.apply(key, d)`` (duplicates included); batches may
+        be empty or larger than the table.  Keys are validated exactly
+        like single-key updates.
         """
 
     @abc.abstractmethod

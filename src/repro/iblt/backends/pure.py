@@ -7,6 +7,7 @@ other backend must reproduce bit-for-bit.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from repro.iblt.backends.base import Backend
@@ -37,14 +38,17 @@ class PureBackend(Backend):
             key_sums[index] ^= key
             check_sums[index] ^= check
 
-    def apply_batch(self, keys: Sequence[int], delta: int) -> None:
+    def apply_batch(self, keys: Sequence[int], delta) -> None:
         if hasattr(keys, "tolist"):
             # numpy batches (e.g. the strata estimator's bulk stratum
             # grouping): numpy integer scalars lack ``bit_length``, so run
             # the reference loop over Python ints.
             keys = keys.tolist()
-        for key in keys:
-            self.apply(key, delta)
+        if hasattr(delta, "tolist"):
+            delta = delta.tolist()
+        deltas = repeat(delta) if isinstance(delta, int) else delta
+        for key, key_delta in zip(keys, deltas):
+            self.apply(key, key_delta)
 
     def subtract(self, other: "PureBackend") -> "PureBackend":
         result = PureBackend(self.config)

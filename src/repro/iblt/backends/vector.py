@@ -137,18 +137,18 @@ class NumpyBackend(Backend):
             key_sums[index] ^= key_u64
             check_sums[index] ^= check_u64
 
-    def apply_batch(self, keys: Sequence[int], delta: int) -> None:
+    def apply_batch(self, keys: Sequence[int], delta) -> None:
         arr = self._as_key_array(keys)
         if arr.size == 0:
             return
-        self._scatter(arr, delta)
+        self._scatter(arr, _np.asarray(delta, dtype=_np.int64))
 
     def _scatter(self, arr: "_np.ndarray", deltas) -> None:
         """Scatter count deltas and key/checksum XORs into every key's cells.
 
         ``deltas`` is a scalar (batch insert/delete) or a per-key int64
-        array (peel removals).  The sole home of the vectorized cell
-        placement — it must mirror the reference formula in
+        array (signed batches, peel removals).  The sole home of the
+        vectorized cell placement — it must mirror the reference formula in
         :meth:`~repro.iblt.hashing.HashFamily.indices_from_mix` exactly.
         """
         key_mix = _splitmix64_vec(arr)

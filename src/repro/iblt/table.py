@@ -206,6 +206,16 @@ class IBLT:
         """Delete a whole batch of keys (see :meth:`insert_many`)."""
         self._backend.apply_batch(_materialize(keys), -1)
 
+    def apply_many(self, keys, signs) -> None:
+        """A signed batch: key ``keys[j]`` is inserted when ``signs[j]`` is
+        ``+1`` and deleted when it is ``-1`` — one backend call."""
+        keys = _materialize(keys)
+        if len(signs) != len(keys):
+            raise ConfigError(
+                f"signed batch has {len(keys)} keys but {len(signs)} signs"
+            )
+        self._backend.apply_batch(keys, signs)
+
     def insert_all(self, keys) -> None:
         """Insert every key of an iterable (alias of :meth:`insert_many`)."""
         self.insert_many(keys)

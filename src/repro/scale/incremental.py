@@ -61,30 +61,42 @@ class ShardedIncrementalSketch:
         """
         return tuple(self._shards)
 
-    def plan_insert(
-        self, point: Point, pending: list[dict] | None = None
-    ) -> tuple[int, list[tuple[int, int]]]:
-        """Route a point to its shard and plan the insert there.
+    def plan(self, points, sign: int) -> list[tuple]:
+        """Route a batch to its shards and plan it there (nothing mutated).
 
-        Returns ``(shard_index, [(level, key), ...])``; ``pending`` is a
-        list of per-shard batch overlays (see
-        :meth:`~repro.core.incremental.IncrementalSketch.plan_insert`).
+        Returns ``[(shard, level, keys, signs), ...]``: shards in order of
+        their first point in the batch, each shard's levels finest first
+        (see :meth:`~repro.core.incremental.IncrementalSketch.plan`).  The
+        whole batch is validated first; a failure raises the error of the
+        earliest failing point in batch order and plans nothing.
         """
-        shard = self.partitioner.shard_of(point)
-        overlay = None if pending is None else pending[shard]
-        return shard, self._shards[shard].plan_insert(point, overlay)
+        points = list(points)
+        members: dict[int, list[int]] = {}
+        for index, shard in enumerate(self.partitioner._shard_ids_fast(points)):
+            members.setdefault(shard, []).append(index)
+        planned = []
+        failure = None
+        for shard, indices in members.items():
+            shard_planned, shard_failure = self._shards[shard]._plan(
+                [points[index] for index in indices], sign
+            )
+            if shard_failure is not None:
+                first = (indices[shard_failure[0]], shard_failure[1])
+                if failure is None or first[0] < failure[0]:
+                    failure = first
+            planned.extend(
+                (shard, level, keys, signs)
+                for level, keys, signs in shard_planned
+            )
+        if failure is not None:
+            raise failure[1]
+        return planned
 
-    def plan_remove(
-        self, point: Point, pending: list[dict] | None = None
-    ) -> tuple[int, list[tuple[int, int]]]:
-        """Route a point to its shard and plan the remove there."""
-        shard = self.partitioner.shard_of(point)
-        overlay = None if pending is None else pending[shard]
-        return shard, self._shards[shard].plan_remove(point, overlay)
-
-    def apply_delta(self, shard: int, level: int, key: int, sign: int) -> None:
-        """Apply one planned key delta to one shard's tables."""
-        self._shards[shard].apply_delta(level, key, sign)
+    def apply(self, planned) -> None:
+        """Land planned (or WAL-decoded) ``(shard, level, keys, signs)``
+        groups: one signed backend batch per group."""
+        for shard, level, keys, signs in planned:
+            self._shards[shard].apply([(level, keys, signs)])
 
     def key_bits(self, level: int) -> int:
         """Packed key width at ``level`` (identical across shards — the
@@ -97,24 +109,15 @@ class ShardedIncrementalSketch:
 
     def insert(self, point: Point) -> None:
         """Add one point — touches a single shard's tables."""
-        self._shards[self.partitioner.shard_of(point)].insert(point)
+        self.insert_all([point])
 
     def remove(self, point: Point) -> None:
         """Remove one point of the multiset — touches a single shard."""
-        self._shards[self.partitioner.shard_of(point)].remove(point)
+        self.apply(self.plan([point], -1))
 
     def insert_all(self, points) -> None:
-        """Insert every point of an iterable.
-
-        An initial load routes each shard's block through the per-shard
-        bulk path (single grid pass + backend batch inserts).
-        """
-        if self.n_points == 0:
-            for shard, block in zip(self._shards, self.partitioner.split(points)):
-                shard.insert_all(block)
-            return
-        for point in points:
-            self.insert(point)
+        """Insert every point of an iterable as one atomic batch."""
+        self.apply(self.plan(points, 1))
 
     def encode(self) -> bytes:
         """The current sharded message (bit-identical to a fresh encode)."""

@@ -30,7 +30,7 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
 
 from repro.core.config import ProtocolConfig
-from repro.core.grid import ShiftedGridHierarchy
+from repro.core.grid import ShiftedGridHierarchy, pack_cells
 from repro.errors import BackendUnavailableError
 from repro.emd.metrics import Point
 from repro.iblt.hashing import hash_with_salt, splitmix64
@@ -147,15 +147,13 @@ class SpacePartitioner:
         if array is None:
             return None
         shifted = array + _np.asarray(self.grid.shift, dtype=_np.int64)
-        cells = shifted >> self.level
-        bits = self.grid.coord_bits(self.level)
-        cell_key = cells[:, 0].copy()
-        for column in range(1, self.grid.dimension):
-            cell_key = (cell_key << bits) | cells[:, column]
+        cell_key = pack_cells(shifted >> self.level, self.grid.coord_bits(self.level))
         return array, self.shard_id_array(cell_key)
 
     def _shard_ids_fast(self, points: Sequence[Point]):
         """Per-point shard ids, vectorized when numpy can host the points."""
+        if self.shards == 1:
+            return [0] * len(points)
         vectorized = self.vector_partition(points)
         if vectorized is not None:
             return vectorized[1].tolist()

@@ -1,9 +1,11 @@
 """:class:`DurableSketchStore` — the crash-safe sketch façade.
 
 Ties the pieces together around one invariant: **WAL before ack**.  A
-batch update plans its key deltas against the live sketch (overlay
-ranks, nothing mutated), frames them into a single CRC'd record,
-appends and fsyncs it, and only then applies the deltas in memory and
+batch update plans the whole batch against the live sketch (each
+point's rank counts the live cell plus the batch's earlier points;
+every level validated, nothing mutated), frames the per-(shard, level)
+key groups into a single CRC'd record, appends and fsyncs it, and only
+then applies each group in memory as one signed IBLT batch and
 returns.  A batch the caller saw acknowledged therefore survives any
 crash; a batch interrupted mid-append is wholly in or wholly out (the
 record CRC decides), never half-applied.
@@ -15,8 +17,9 @@ Recovery (:meth:`DurableSketchStore.open` on a non-empty directory):
 2. scan the WAL, stop at the first record that fails to frame or
    checksum, truncate that torn tail durably;
 3. replay, in log order, every record whose generation matches the
-   snapshot's; older generations are already folded into the snapshot
-   and are skipped.
+   snapshot's — through the same group-wise apply a live batch uses;
+   older generations are already folded into the snapshot and are
+   skipped.
 
 The result is bit-identical — ``encode()`` and all — to a fresh sketch
 of the acknowledged points, which the differential crash matrix
@@ -154,11 +157,10 @@ class DurableSketchStore:
                 )
             if kind != wal_codec.KIND_DELTAS:
                 raise StoreCorruptError(f"unknown WAL record kind {kind}")
-            deltas = wal_codec.decode_deltas(sketch, payload)
-            for shard, level, key, sign in deltas:
-                sketch.apply_delta(shard, level, key, sign)
+            groups = wal_codec.decode_deltas(sketch, payload)
+            sketch.apply(groups)
             replayed_records += 1
-            replayed_deltas += len(deltas)
+            replayed_deltas += sum(len(keys) for _, _, keys, _ in groups)
         if replayed_records:
             source = "wal" if source == "fresh" else "snapshot+wal"
         if wal_bytes is None:
@@ -182,29 +184,19 @@ class DurableSketchStore:
         store._wal_bytes = clean_len
         return store
 
-    def _log_batch(self, points, plan) -> int:
+    def _log_batch(self, points, sign: int) -> int:
         """Plan a batch, WAL it, fsync, apply, maybe snapshot."""
         points = list(points)
         if not points:
             return 0
-        pending = [{} for _ in self.sketch.shard_sketches()]
-        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for point in points:
-            shard, deltas, sign = plan(point, pending)
-            for level, key in deltas:
-                groups.setdefault((shard, level), []).append((key, sign))
-        payload = wal_codec.encode_deltas(
-            self.sketch,
-            [(shard, level, deltas) for (shard, level), deltas in groups.items()],
-        )
+        groups = self.sketch.plan(points, sign)
+        payload = wal_codec.encode_deltas(self.sketch, groups)
         record = wal_codec.encode_record(
             self.generation, wal_codec.KIND_DELTAS, payload
         )
         self.storage.append(WAL_NAME, record)
         self.storage.fsync(WAL_NAME)
-        for (shard, level), deltas in groups.items():
-            for key, sign in deltas:
-                self.sketch.apply_delta(shard, level, key, sign)
+        self.sketch.apply(groups)
         self._wal_bytes += len(record)
         if self._wal_bytes >= self.snapshot_every_bytes:
             self.snapshot()
@@ -216,19 +208,13 @@ class DurableSketchStore:
         Validation (occupancy) runs during planning — a failed batch
         writes nothing and applies nothing.  Returns the batch size.
         """
-        def plan(point, pending):
-            shard, deltas = self.sketch.plan_insert(point, pending)
-            return shard, deltas, 1
-
-        return self._log_batch(points, plan)
+        return self._log_batch(points, 1)
 
     def remove_batch(self, points) -> int:
-        """Durably remove a batch (same contract as :meth:`insert_batch`)."""
-        def plan(point, pending):
-            shard, deltas = self.sketch.plan_remove(point, pending)
-            return shard, deltas, -1
-
-        return self._log_batch(points, plan)
+        """Durably remove a batch (same contract as :meth:`insert_batch`;
+        a point whose cell the batch empties raises
+        ``ReconciliationFailure``)."""
+        return self._log_batch(points, -1)
 
     def insert(self, point) -> None:
         """Durably insert one point (a one-element batch)."""
@@ -239,7 +225,7 @@ class DurableSketchStore:
         self.remove_batch([point])
 
     def bulk_load(self, points) -> int:
-        """Load an initial point set through the vectorized bulk path.
+        """Load an initial point set as one batch, without a WAL record.
 
         Only valid on an empty store.  Durability comes from the
         snapshot this publishes, not from the WAL — the load is

@@ -3,10 +3,11 @@
 One record per insert/remove **batch**, so a point update costs
 ``O(levels)`` logged deltas — cells touched, never tables.  Each delta
 is a packed protocol key ``(cell_id << occupancy_bits) | rank`` with a
-±1 sign; applying it is one IBLT cell update per hash row plus one
-count assignment, and the cell algebra (counts add, sums xor) makes
-deltas to *different* cells commutative — replay order only matters
-within one cell's rank chain, which a record preserves by construction.
+±1 sign.  A record is grouped per ``(shard, level)``, and replay lands
+each group as one signed IBLT batch plus one pass over the per-cell
+counts: the cell algebra (counts add, sums xor) makes the table update
+order-free, and only the counts read the rank chain, in the log order
+a group preserves by construction.
 
 Record layout (byte-aligned, appended verbatim)::
 
@@ -99,29 +100,27 @@ def scan_records(data: bytes) -> tuple[list[tuple[int, int, bytes]], int]:
 def encode_deltas(sketch, groups) -> bytes:
     """Pack one batch's planned deltas into a ``KIND_DELTAS`` payload.
 
-    ``groups`` is an ordered ``[(shard, level, [(key, sign), ...]),
-    ...]`` — the per-(shard, level) grouping of a batch's plans, order
-    preserved within each group (rank chains).  ``sketch`` supplies the
-    per-level key widths.
+    ``groups`` is an ordered ``[(shard, level, keys, signs), ...]`` — the
+    sketch's plan of a batch, order preserved within each group (rank
+    chains).  ``sketch`` supplies the per-level key widths.
     """
     writer = BitWriter()
     writer.write_varint(len(groups))
-    for shard, level, deltas in groups:
+    for shard, level, keys, signs in groups:
         writer.write_varint(shard)
         writer.write_varint(level)
-        writer.write_varint(len(deltas))
-        keys = [key for key, _ in deltas]
-        signs = [sign for _, sign in deltas]
+        writer.write_varint(len(keys))
         blob = encode_cells_fixed(
-            signs, keys, [0] * len(deltas),
+            signs, keys, [0] * len(keys),
             _SIGN_BITS, sketch.key_bits(level), _PAD_BITS,
         )
         writer.write_bytes(blob)
     return writer.getvalue()
 
 
-def decode_deltas(sketch, payload: bytes) -> list[tuple[int, int, int, int]]:
-    """Unpack a ``KIND_DELTAS`` payload into ``(shard, level, key, sign)``.
+def decode_deltas(sketch, payload: bytes) -> list[tuple]:
+    """Unpack a ``KIND_DELTAS`` payload into ``(shard, level, keys, signs)``
+    groups — the shape :meth:`ShardedIncrementalSketch.apply` lands.
 
     Validates against the live sketch's shape — a record addressing an
     unknown shard or level means the log belongs to a different config
@@ -129,7 +128,7 @@ def decode_deltas(sketch, payload: bytes) -> list[tuple[int, int, int, int]]:
     """
     shards = len(sketch.shard_sketches())
     levels = set(sketch.sketch_levels())
-    deltas: list[tuple[int, int, int, int]] = []
+    groups = []
     try:
         reader = BitReader(payload)
         n_groups = reader.read_varint()
@@ -153,11 +152,12 @@ def decode_deltas(sketch, payload: bytes) -> list[tuple[int, int, int, int]]:
             signs, keys, _ = decode_cells_fixed(
                 blob, count, _SIGN_BITS, key_bits, _PAD_BITS
             )
-            for key, sign in zip(keys, signs):
-                if sign not in (1, -1):
-                    raise StoreCorruptError(f"WAL delta sign {sign} is not ±1")
-                deltas.append((shard, level, int(key), int(sign)))
+            bad = set(signs.tolist() if hasattr(signs, "tolist") else signs)
+            bad -= {1, -1}
+            if bad:
+                raise StoreCorruptError(f"WAL delta sign {min(bad)} is not ±1")
+            groups.append((shard, level, keys, signs))
         reader.expect_end()
     except SerializationError as exc:
         raise StoreCorruptError(f"undecodable WAL delta payload: {exc}") from exc
-    return deltas
+    return groups

@@ -81,6 +81,29 @@ class TestBatchEdgeCases:
         with pytest.raises(ValueError, match="exceeds configured key width"):
             table.insert_many([1, 1 << 16])
 
+    def test_signed_batch_matches_sequential(self, backend):
+        """One signed batch equals the same inserts/deletes one by one."""
+        keys = [7, 9, 7, 11, 9, 7, 1 << 40]
+        signs = [1, 1, 1, -1, -1, 1, -1]
+        batch = make_table(backend)
+        batch.apply_many(keys, signs)
+        sequential = make_table(backend)
+        for key, sign in zip(keys, signs):
+            if sign > 0:
+                sequential.insert(key)
+            else:
+                sequential.delete(key)
+        assert batch.to_bytes() == sequential.to_bytes()
+
+    def test_signed_batch_validates_keys_and_lengths(self, backend):
+        table = make_table(backend, key_bits=16)
+        with pytest.raises(ValueError, match="non-negative"):
+            table.apply_many([1, -2], [1, -1])
+        with pytest.raises(ValueError, match="exceeds configured key width"):
+            table.apply_many([1, 1 << 16], [-1, 1])
+        with pytest.raises(ConfigError, match="2 keys but 1 signs"):
+            table.apply_many([1, 2], [1])
+
     def test_mixed_inserts_and_batches_compose(self, backend):
         table = make_table(backend)
         table.insert(1)

@@ -78,17 +78,48 @@ def test_serialisation_roundtrip_random_tables(seed, n_keys):
     assert restored.check_sums == table.check_sums
 
 
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=30)
-def test_decode_success_at_half_load(seed):
-    """Tables loaded to ~50% of the peeling threshold always decode."""
-    rng = random.Random(seed)
+#: Tables swept by the half-load check, one seed each.
+HALF_LOAD_SEEDS = range(3000)
+#: Most stopping-set failures the sweep tolerates.  The dominant stopping
+#: set is two keys sharing all four of their cells: each key lands in one
+#: cell of each 30-cell partition, so a given pair collides everywhere
+#: with probability 30^-4, and some pair of the 46 keys does with
+#: probability about C(46, 2) / 30^4 ≈ 0.13% per table — 3.8 expected
+#: failures in 3000 tables (2 observed: seeds 294 and 2715).  A Poisson
+#: count with mean 3.8 exceeds 12 with probability below 1e-4.
+HALF_LOAD_MAX_FAILURES = 12
+
+
+def test_decode_success_at_half_load():
+    """Tables loaded to ~50% of the peeling threshold decode unless their
+    keys hold a stopping set, at no more than the stopping-set rate.
+
+    Every failure must be a genuine stopping set: the keys left unpeeled
+    each have all of their cells shared with another unpeeled key, and no
+    recovered key is wrong.
+    """
     cells = 120
     n_diff = int(cells * 0.772 * 0.5)
-    config = IBLTConfig(cells=cells, q=4, seed=seed)
-    table = IBLT(config)
-    keys = {rng.getrandbits(60) for _ in range(n_diff)}
-    table.insert_all(keys)
-    result = decode(table)
-    assert result.success
-    assert sorted(result.alice_keys) == sorted(keys)
+    failures = []
+    for seed in HALF_LOAD_SEEDS:
+        rng = random.Random(seed)
+        config = IBLTConfig(cells=cells, q=4, seed=seed)
+        table = IBLT(config)
+        keys = {rng.getrandbits(60) for _ in range(n_diff)}
+        table.insert_all(keys)
+        result = decode(table)
+        assert not result.bob_keys
+        assert set(result.alice_keys) <= keys
+        if result.success:
+            assert sorted(result.alice_keys) == sorted(keys)
+            continue
+        failures.append(seed)
+        stuck = keys - set(result.alice_keys)
+        hits: dict[int, int] = {}
+        for key in stuck:
+            for index in table.hashes.indices(key):
+                hits[index] = hits.get(index, 0) + 1
+        assert all(
+            hits[index] >= 2 for key in stuck for index in table.hashes.indices(key)
+        ), f"seed {seed}: the decoder stalled outside a stopping set"
+    assert len(failures) <= HALF_LOAD_MAX_FAILURES, failures
