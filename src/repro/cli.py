@@ -316,22 +316,9 @@ def cmd_estimate(args) -> int:
     )
     reconciler = AdaptiveReconciler(config)
     request = reconciler.bob_request(data["bob"])
-    # Re-derive Alice's per-level view (the same computation alice_respond
-    # performs before choosing the window).
-    from repro.iblt.strata import StrataEstimator
-    from repro.net.bits import BitReader
-
-    reader = BitReader(request)
-    reader.read_uint(8)
-    reader.read_uint(8)
-    reader.read_varint()
+    estimates = reconciler.estimates(request, data["alice"])
     print(f"{'level':>5} {'cell side':>10} {'est. difference':>16}")
-    for level in reconciler.sampled_levels():
-        bob_estimator = StrataEstimator.read_from(
-            reader, reconciler._estimator_config(level)
-        )
-        mine = reconciler._build_estimator(data["alice"], level)
-        estimate = mine.estimate_difference(bob_estimator)
+    for level, estimate in estimates.items():
         print(f"{level:>5} {2 ** level:>10} {estimate:>16}")
     return 0
 

@@ -21,17 +21,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+try:  # soft dependency: the estimator key hashing vectorizes
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
+    _np = None
+
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import HierarchicalReconciler, ReconcileResult
 from repro.core.repair import apply_repair, plan_repair
 from repro.core.sketch import level_iblt_config
 from repro.errors import ConfigError, ReconciliationFailure, SerializationError
 from repro.iblt.decode import decode
-from repro.iblt.hashing import hash_with_salt
-from repro.iblt.strata import StrataConfig, StrataEstimator
+from repro.iblt.hashing import hash_with_salt, hash_with_salt_many
+from repro.iblt.strata import (
+    StrataBlock,
+    StrataConfig,
+    StrataEstimator,
+    stack_columns,
+)
 from repro.iblt.table import IBLT, recommended_cells
 from repro.net.bits import BitReader, BitWriter
 from repro.net.channel import SimulatedChannel
+from repro.net.codec import read_cells, write_cells
 from repro.net.transcript import Transcript
 
 REQUEST_MAGIC = 0xAD
@@ -71,11 +82,13 @@ class AdaptiveReconciler:
     """Both endpoints of the two-round protocol.
 
     ``reuse_alice_state=True`` opts into caching Alice's deterministic
-    per-level work — her own strata estimators and the sized window
-    tables — across calls to :meth:`alice_respond`.  Only safe when every
-    call passes the *same* point multiset (the serve layer's case: one
-    server-side point set, many connections); the cache is keyed on the
-    points object's identity and resets if a different object shows up.
+    work across calls to :meth:`alice_respond`: her stacked estimator
+    cells for every sampled level, the public-coin constants of that
+    :class:`~repro.iblt.strata.StrataBlock`, and the sized window tables.
+    Only safe when every call passes the *same* point multiset (the serve
+    layer's case: one server-side point set, many connections); the cache
+    is keyed on the points object's identity and resets if a different
+    object shows up.
     """
 
     def __init__(
@@ -91,7 +104,8 @@ class AdaptiveReconciler:
         self.grid = self._one_round.grid
         self._reuse = reuse_alice_state
         self._cached_points: object | None = None
-        self._estimator_cache: dict[int, StrataEstimator] = {}
+        self._block: StrataBlock | None = None
+        self._alice_cells: tuple | None = None
         self._window_cache: dict[tuple[int, int], IBLT] = {}
 
     # ----------------------------------------------------------- shared bits
@@ -119,36 +133,71 @@ class AdaptiveReconciler:
             seed=hash_with_salt(level, self.config.seed ^ 0xE57),
         )
 
-    def _hashed_keys(self, points, level: int):
-        mask = (1 << self.adaptive.estimator_key_bits) - 1
-        salt = self.config.seed ^ (level * 0x9E3779B9)
-        for key in self.grid.keys_for(points, level):
-            yield hash_with_salt(key, salt) & mask
+    def _hashed_keys(self, points) -> dict:
+        """Each sampled level's estimator keys: the grid keys salted per
+        level and masked to ``estimator_key_bits``.
 
-    def _build_estimator(self, points, level: int) -> StrataEstimator:
-        estimator = StrataEstimator(
-            self._estimator_config(level), backend=self.config.backend
-        )
-        estimator.insert_all(self._hashed_keys(points, level))
-        return estimator
+        One vectorized key pass serves every level when numpy can host it
+        (two ``splitmix64`` passes per level); otherwise the pure key path
+        with a scalar ``hash_with_salt`` per key.  Same keys either way.
+        """
+        levels = self.sampled_levels()
+        mask = (1 << self.adaptive.estimator_key_bits) - 1
+        salts = {level: self.config.seed ^ (level * 0x9E3779B9) for level in levels}
+        key_pass = self.grid.vector_key_pass(points, levels)
+        if key_pass is None:
+            grid_keys = self.grid.level_keys(points, levels)
+            return {
+                level: [hash_with_salt(key, salts[level]) & mask for key in keys]
+                for level, keys in grid_keys.items()
+            }
+        return {
+            level: hash_with_salt_many(
+                key_pass.keys(level).astype(_np.uint64), salts[level]
+            ) & _np.uint64(mask)
+            for level in levels
+        }
+
+    def _estimator_cells(self, points):
+        """Every sampled level's estimator over ``points``, stacked into
+        one cell block (level-major: the round-1 wire order)."""
+        hashed = self._hashed_keys(points)
+        parts = []
+        for level in self.sampled_levels():
+            estimator = StrataEstimator(
+                self._estimator_config(level), backend=self.config.backend
+            )
+            estimator.insert_all(hashed[level])
+            parts.append(estimator.cell_columns())
+        return stack_columns(parts)
 
     # ---------------------------------------------------- Alice state reuse
 
     def _check_reuse_points(self, points) -> None:
         """Drop the caches if a different point multiset shows up."""
         if self._cached_points is not points:
-            self._estimator_cache.clear()
+            self._block = None
+            self._alice_cells = None
             self._window_cache.clear()
             self._cached_points = points
 
-    def _alice_estimator(self, points, level: int) -> StrataEstimator:
-        if not self._reuse:
-            return self._build_estimator(points, level)
-        estimator = self._estimator_cache.get(level)
-        if estimator is None:
-            estimator = self._build_estimator(points, level)
-            self._estimator_cache[level] = estimator
-        return estimator
+    def _estimator_block(self) -> StrataBlock:
+        block = self._block
+        if block is None:
+            block = StrataBlock(
+                [self._estimator_config(level) for level in self.sampled_levels()]
+            )
+            if self._reuse:
+                self._block = block
+        return block
+
+    def _alice_estimator_cells(self, points):
+        cells = self._alice_cells
+        if cells is None:
+            cells = self._estimator_cells(points)
+            if self._reuse:
+                self._alice_cells = cells
+        return cells
 
     def _alice_window_table(self, points, level: int, cells: int) -> IBLT:
         if not self._reuse:
@@ -163,20 +212,20 @@ class AdaptiveReconciler:
         return table
 
     def warm_alice(self, alice_points) -> None:
-        """Prebuild Alice's cached per-level estimators for ``alice_points``.
+        """Prebuild Alice's cached estimator block for ``alice_points``.
 
         Only meaningful with ``reuse_alice_state=True`` (no-op otherwise).
         The serve layer calls this once before forking worker processes so
-        every worker inherits the estimators copy-on-write instead of each
-        paying the build on its first adaptive request.  Window tables are
-        *not* prewarmed — their shapes depend on client estimates — but
-        the estimator decode is the per-request cost this removes.
+        every worker inherits the stacked estimator cells and the block's
+        public-coin constants copy-on-write instead of each paying the
+        build on its first adaptive request.  Window tables are *not*
+        prewarmed — their shapes depend on client estimates.
         """
         if not self._reuse:
             return
         self._check_reuse_points(alice_points)
-        for level in self.sampled_levels():
-            self._alice_estimator(alice_points, level)
+        self._estimator_block()
+        self._alice_estimator_cells(alice_points)
 
     # -------------------------------------------------------------- round 1
 
@@ -186,14 +235,23 @@ class AdaptiveReconciler:
         writer.write_uint(REQUEST_MAGIC, 8)
         writer.write_uint(VERSION, 8)
         writer.write_varint(len(bob_points))
-        for level in self.sampled_levels():
-            self._build_estimator(bob_points, level).write_to(writer)
+        write_cells(
+            writer, *self._estimator_cells(bob_points),
+            self.adaptive.estimator_key_bits,
+            self.adaptive.estimator_checksum_bits,
+        )
         return writer.getvalue()
 
     # -------------------------------------------------------------- round 2
 
-    def alice_respond(self, request_payload: bytes, alice_points) -> bytes:
-        """Alice's reply: a sized IBLT window around the chosen level."""
+    def estimates(self, request_payload: bytes, alice_points) -> dict[int, int]:
+        """Alice's estimate of the level-``ℓ`` difference for every sampled
+        level ``ℓ``, from Bob's round-1 request.
+
+        The request's estimator cells parse with one columnar read and are
+        estimated as one :class:`~repro.iblt.strata.StrataBlock` against
+        Alice's own stacked cells.
+        """
         reader = BitReader(request_payload)
         if reader.read_uint(8) != REQUEST_MAGIC:
             raise SerializationError("bad magic byte; not an adaptive request")
@@ -201,19 +259,22 @@ class AdaptiveReconciler:
             raise SerializationError("unsupported adaptive request version")
         reader.read_varint()  # Bob's size; informational
         self._check_reuse_points(alice_points)
-        estimates: dict[int, int] = {}
-        for level in self.sampled_levels():
-            bob_estimator = StrataEstimator.read_from(
-                reader, self._estimator_config(level),
-                backend=self.config.backend,
-            )
-            mine = self._alice_estimator(alice_points, level)
-            estimates[level] = mine.estimate_difference(
-                bob_estimator
-            )
+        block = self._estimator_block()
+        bob_cells = read_cells(
+            reader, block.total_cells,
+            self.adaptive.estimator_key_bits,
+            self.adaptive.estimator_checksum_bits,
+        )
         reader.expect_end()
+        estimates = block.estimate(
+            self._alice_estimator_cells(alice_points), bob_cells,
+            backend=self.config.backend,
+        )
+        return dict(zip(self.sampled_levels(), estimates))
 
-        window = self._choose_window(estimates)
+    def alice_respond(self, request_payload: bytes, alice_points) -> bytes:
+        """Alice's reply: a sized IBLT window around the chosen level."""
+        window = self._choose_window(self.estimates(request_payload, alice_points))
         writer = BitWriter()
         writer.write_uint(RESPONSE_MAGIC, 8)
         writer.write_uint(VERSION, 8)

@@ -19,7 +19,7 @@ import abc
 from typing import Any, ClassVar, Iterator, Sequence
 
 from repro.errors import ConfigError
-from repro.iblt.hashing import splitmix64
+from repro.iblt.hashing import checksum_premix, splitmix64
 
 
 class Backend(abc.ABC):
@@ -46,7 +46,7 @@ class Backend(abc.ABC):
     def __init__(self, config):
         self.config = config
         # Shared-mix checksum constants (same values checksum64 computes).
-        self._check_premix = splitmix64(config.seed ^ 0xC0FFEE)
+        self._check_premix = checksum_premix(config.seed)
         self._check_mask = (1 << config.checksum_bits) - 1
 
     # ------------------------------------------------------------ capability

@@ -26,26 +26,51 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 from repro.errors import ConfigError
 from repro.iblt.backends.base import Backend
-from repro.iblt.hashing import _GOLDEN, _MIX1, _MIX2, splitmix64
+from repro.iblt.hashing import splitmix64, splitmix64_many
 
 if _np is not None:
     _U64 = _np.uint64
-    _C_GOLDEN = _U64(_GOLDEN)
-    _C_MIX1 = _U64(_MIX1)
-    _C_MIX2 = _U64(_MIX2)
-    _S30, _S27, _S31 = _U64(30), _U64(27), _U64(31)
 
 
-def _splitmix64_vec(values: "_np.ndarray") -> "_np.ndarray":
-    """Vectorized :func:`repro.iblt.hashing.splitmix64` over uint64 arrays.
+def checksums_from_mix(key_mix, premix, mask) -> "_np.ndarray":
+    """Cell checksums of keys given ``splitmix64(key)`` per key.
 
-    uint64 arithmetic wraps mod 2^64, matching the reference's explicit
-    masking.
+    ``premix`` is one table's :func:`~repro.iblt.hashing.checksum_premix`
+    (a uint64 scalar) or a per-key array of them; ``mask`` is the
+    checksum-width mask.  The sole vectorized home of the checksum formula.
     """
-    z = values + _C_GOLDEN
-    z = (z ^ (z >> _S30)) * _C_MIX1
-    z = (z ^ (z >> _S27)) * _C_MIX2
-    return z ^ (z >> _S31)
+    return splitmix64_many(premix ^ key_mix) & mask
+
+
+def scatter_keys(cells, keys, deltas, salts, check_premix, check_mask,
+                 partition: int, offsets=0) -> None:
+    """Scatter count deltas and key/checksum XORs into every key's cells.
+
+    ``cells`` is the ``(counts, key_sums, check_sums)`` column triple
+    (int64 / uint64 / uint64 arrays), updated in place.  ``deltas`` is a
+    scalar or a per-key int64 array.  ``salts`` holds the premixed
+    cell-index salts (:attr:`~repro.iblt.hashing.HashFamily.premixed_salts`):
+    one ``(q,)`` row shared by every key, or an ``(n, q)`` block giving each
+    key its own table's row.  ``check_premix`` is likewise a scalar or per
+    key, and ``offsets`` the first cell of each key's table (``0`` for a
+    single table) — so one call can update a stack of equally sized tables
+    laid end to end.  The sole home of the vectorized cell placement: it
+    mirrors :meth:`~repro.iblt.hashing.HashFamily.indices_from_mix` exactly.
+    """
+    counts, key_sums, check_sums = cells
+    key_mix = splitmix64_many(keys)
+    checks = checksums_from_mix(key_mix, check_premix, check_mask)
+    divisor = _U64(partition)
+    for i in range(salts.shape[-1]):
+        indices = (
+            (splitmix64_many(salts[..., i] ^ key_mix) % divisor)
+            .astype(_np.intp)
+        )
+        indices += offsets + i * partition
+        # Unbuffered scatter: duplicate indices accumulate sequentially.
+        _np.add.at(counts, indices, deltas)
+        _np.bitwise_xor.at(key_sums, indices, keys)
+        _np.bitwise_xor.at(check_sums, indices, checks)
 
 
 class NumpyBackend(Backend):
@@ -144,26 +169,12 @@ class NumpyBackend(Backend):
         self._scatter(arr, _np.asarray(delta, dtype=_np.int64))
 
     def _scatter(self, arr: "_np.ndarray", deltas) -> None:
-        """Scatter count deltas and key/checksum XORs into every key's cells.
-
-        ``deltas`` is a scalar (batch insert/delete) or a per-key int64
-        array (signed batches, peel removals).  The sole home of the
-        vectorized cell placement — it must mirror the reference formula in
-        :meth:`~repro.iblt.hashing.HashFamily.indices_from_mix` exactly.
-        """
-        key_mix = _splitmix64_vec(arr)
-        checks = _splitmix64_vec(self._premix_u64 ^ key_mix) & self._mask_u64
-        partition = _U64(self._partition)
-        for i in range(self.config.q):
-            indices = (
-                (_splitmix64_vec(self._premixed_vec[i] ^ key_mix) % partition)
-                .astype(_np.intp)
-            )
-            indices += i * self._partition
-            # Unbuffered scatter: duplicate indices accumulate sequentially.
-            _np.add.at(self.counts, indices, deltas)
-            _np.bitwise_xor.at(self.key_sums, indices, arr)
-            _np.bitwise_xor.at(self.check_sums, indices, checks)
+        """One table's :func:`scatter_keys` (every key shares its salts)."""
+        scatter_keys(
+            (self.counts, self.key_sums, self.check_sums), arr, deltas,
+            self._premixed_vec, self._premix_u64, self._mask_u64,
+            self._partition,
+        )
 
     def subtract(self, other: "NumpyBackend") -> "NumpyBackend":
         result = NumpyBackend(self.config)
@@ -235,9 +246,8 @@ class NumpyBackend(Backend):
         """Vectorized pure-cell scan: one sign test + one checksum pass."""
         candidates = _np.flatnonzero(_np.abs(self.counts) == 1)
         keys = self.key_sums[candidates]
-        expected = (
-            _splitmix64_vec(self._premix_u64 ^ _splitmix64_vec(keys))
-            & self._mask_u64
+        expected = checksums_from_mix(
+            splitmix64_many(keys), self._premix_u64, self._mask_u64
         )
         verified = candidates[self.check_sums[candidates] == expected]
         return verified, self.counts[verified]

@@ -32,6 +32,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+if _np is not None:
+    _C_GOLDEN = _np.uint64(_GOLDEN)
+    _C_MIX1 = _np.uint64(_MIX1)
+    _C_MIX2 = _np.uint64(_MIX2)
+    _S30, _S27, _S31 = _np.uint64(30), _np.uint64(27), _np.uint64(31)
+
 
 def splitmix64(value: int) -> int:
     """Mix a 64-bit integer through the splitmix64 finaliser.
@@ -54,6 +60,30 @@ def hash_with_salt(value: int, salt: int) -> int:
     return splitmix64(splitmix64(salt) ^ splitmix64(value))
 
 
+def splitmix64_many(values: "_np.ndarray") -> "_np.ndarray":
+    """Vectorized :func:`splitmix64` over a uint64 array.
+
+    uint64 arithmetic wraps mod 2^64, matching the reference's explicit
+    masking.  Callers gate on numpy availability.
+    """
+    z = values + _C_GOLDEN
+    z = (z ^ (z >> _S30)) * _C_MIX1
+    z = (z ^ (z >> _S27)) * _C_MIX2
+    return z ^ (z >> _S31)
+
+
+def hash_with_salt_many(values: "_np.ndarray", salt: int) -> "_np.ndarray":
+    """Vectorized :func:`hash_with_salt` over a uint64 array (one salt)."""
+    return splitmix64_many(_np.uint64(splitmix64(salt)) ^ splitmix64_many(values))
+
+
+def checksum_premix(seed: int) -> int:
+    """The pre-mixed checksum salt of a table seeded ``seed``: a key's cell
+    checksum is ``splitmix64(checksum_premix(seed) ^ splitmix64(key))``
+    masked to the checksum width (what :func:`checksum64` computes)."""
+    return splitmix64(seed ^ 0xC0FFEE)
+
+
 def checksum64(key: int, salt: int, width_bits: int = 32) -> int:
     """Checksum of a key, truncated to ``width_bits`` bits.
 
@@ -64,7 +94,9 @@ def checksum64(key: int, salt: int, width_bits: int = 32) -> int:
     """
     if not 1 <= width_bits <= 64:
         raise ConfigError(f"checksum width must be in [1, 64], got {width_bits}")
-    return hash_with_salt(key, salt ^ 0xC0FFEE) & ((1 << width_bits) - 1)
+    return splitmix64(checksum_premix(salt) ^ splitmix64(key)) & (
+        (1 << width_bits) - 1
+    )
 
 
 class HashFamily:

@@ -327,6 +327,15 @@ class IBLT:
         counts, key_sums, check_sums = read_cells(
             reader, config.cells, config.key_bits, config.checksum_bits
         )
+        return cls.from_columns(config, counts, key_sums, check_sums, backend)
+
+    @classmethod
+    def from_columns(
+        cls, config: IBLTConfig, counts, key_sums, check_sums,
+        backend: str | None = None,
+    ) -> "IBLT":
+        """A table holding the given cell columns (``config.cells`` each,
+        as parsed by the wire codec) on the chosen backend."""
         table = cls(config, backend=backend)
         table._backend.load_rows(counts, key_sums, check_sums)
         return table

@@ -33,7 +33,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.grid import ShiftedGridHierarchy, pack_cells
 from repro.errors import BackendUnavailableError
 from repro.emd.metrics import Point
-from repro.iblt.hashing import hash_with_salt, splitmix64
+from repro.iblt.hashing import hash_with_salt, hash_with_salt_many
 
 #: Salt domain separating the shard hash from every other public-coin hash.
 _SHARD_SALT = 0x5AADED
@@ -78,9 +78,6 @@ class SpacePartitioner:
         self.grid = grid
         self.level = partition_level(config)
         self._salt = config.seed ^ _SHARD_SALT
-        # hash_with_salt(v, s) == splitmix64(splitmix64(s) ^ splitmix64(v));
-        # pre-mix the salt once so the batch path pays two mixes per value.
-        self._premixed_salt = splitmix64(self._salt)
 
     def shard_of(self, point: Point) -> int:
         """Shard index of one point."""
@@ -110,12 +107,7 @@ class SpacePartitioner:
             raise BackendUnavailableError("shard_id_array requires numpy")
         if self.shards == 1:
             return _np.zeros(cell_keys.shape[0], dtype=_np.int64)
-        from repro.iblt.backends.vector import _splitmix64_vec
-
-        mixed = _splitmix64_vec(
-            _np.uint64(self._premixed_salt)
-            ^ _splitmix64_vec(cell_keys.astype(_np.uint64))
-        )
+        mixed = hash_with_salt_many(cell_keys.astype(_np.uint64), self._salt)
         return (mixed % _np.uint64(self.shards)).astype(_np.int64)
 
     def split(self, points: Sequence[Point]) -> list[list[Point]]:
