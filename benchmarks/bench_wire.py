@@ -71,12 +71,12 @@ def _timed_both(producer, canon=None):
     the result is not already a byte string.
     """
     fast, fast_s = _timed(producer)
-    saved = codec.FORCE_SCALAR
-    codec.FORCE_SCALAR = True
+    saved = codec._np
+    codec._np = None
     try:
         reference, reference_s = _timed(producer)
     finally:
-        codec.FORCE_SCALAR = saved
+        codec._np = saved
     if canon is not None:
         fast_bytes, reference_bytes = canon(fast), canon(reference)
     else:

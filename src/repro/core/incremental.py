@@ -36,11 +36,9 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 
 from repro.core.config import ProtocolConfig
 from repro.core.grid import ShiftedGridHierarchy, occurrence_ranks
-from repro.core.protocol import probe_levels
 from repro.core.sketch import HierarchySketch, LevelSketch, level_iblt_config
 from repro.emd.metrics import Point
 from repro.errors import CapacityExceeded, ConfigError, ReconciliationFailure
-from repro.iblt.decode import DecodeResult
 from repro.iblt.table import IBLT
 
 
@@ -273,48 +271,6 @@ class IncrementalSketch:
             LevelSketch(level, self._tables[level])
             for level in self.config.sketch_levels
         ]
-
-    def decode_difference(
-        self, payload: bytes, *, probe: str = "binary"
-    ) -> tuple[int, DecodeResult]:
-        """Decode a peer's one-round message against the *live* tables.
-
-        The receiving replica subtracts the incoming sketch from its
-        incrementally maintained level tables — no re-encode of its own
-        point set — and peels the finest decodable level.  Returns
-        ``(level, result)``; the recovered ``alice_keys`` / ``bob_keys``
-        are the packed ``(cell, occurrence)`` key difference at that level,
-        which callers can feed to :func:`repro.core.repair.plan_repair` or
-        use directly as a drift diagnostic.
-
-        Subtraction is non-destructive, so the sketch keeps serving
-        inserts/removes afterwards.
-
-        Raises
-        ------
-        ReconciliationFailure
-            If no transmitted level peels, or the payload carries a level
-            this sketch does not maintain.
-        """
-        sketch = HierarchySketch.from_bytes(payload, self.config, self.grid)
-        alice_tables = {
-            level_sketch.level: level_sketch.table for level_sketch in sketch.levels
-        }
-        missing = sorted(set(alice_tables) - set(self._tables))
-        if missing:
-            raise ReconciliationFailure(
-                f"incoming sketch carries levels {missing} this incremental "
-                "sketch does not maintain (configs disagree?)"
-            )
-        level, result, _ = probe_levels(
-            alice_tables,
-            lambda level, _: self._tables[level],
-            sketch.n_points,
-            self.n_points,
-            self.config,
-            probe,
-        )
-        return level, result
 
     def encode(self) -> bytes:
         """The current one-round message (bit-identical to a fresh encode)."""

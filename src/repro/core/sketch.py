@@ -62,7 +62,6 @@ def build_level_sketches(
     config: ProtocolConfig,
     grid: ShiftedGridHierarchy,
     points,
-    cells_by_level: dict[int, int] | None = None,
 ) -> list[LevelSketch]:
     """Build every sketched level's IBLT from one pass over the points.
 
@@ -79,10 +78,7 @@ def build_level_sketches(
         keys_by_level = grid.level_keys(points, levels)
     sketches = []
     for level in levels:
-        cells = cells_by_level.get(level) if cells_by_level else None
-        table = IBLT(
-            level_iblt_config(config, grid, level, cells), backend=config.backend
-        )
+        table = IBLT(level_iblt_config(config, grid, level), backend=config.backend)
         if key_pass is not None:
             table.insert_many(key_pass.keys(level))
         else:
@@ -116,13 +112,8 @@ class HierarchySketch:
         data: bytes,
         config: ProtocolConfig,
         grid: ShiftedGridHierarchy,
-        cells_by_level: dict[int, int] | None = None,
     ) -> "HierarchySketch":
-        """Deserialise and re-derive each level's IBLT config.
-
-        ``cells_by_level`` overrides the per-level cell counts (used by the
-        adaptive protocol, whose reply sizes tables from the estimate).
-        """
+        """Deserialise and re-derive each level's IBLT config."""
         reader = BitReader(data)
         if reader.read_uint(8) != MAGIC:
             raise SerializationError("bad magic byte; not a hierarchy sketch")
@@ -148,8 +139,7 @@ class HierarchySketch:
                     f"sketch carries level {level} twice"
                 )
             seen_levels.add(level)
-            cells = cells_by_level.get(level) if cells_by_level else None
-            table_config = level_iblt_config(config, grid, level, cells)
+            table_config = level_iblt_config(config, grid, level)
             levels.append(
                 LevelSketch(
                     level,

@@ -37,8 +37,8 @@ class Backend(abc.ABC):
     name: ClassVar[str]
 
     #: The three cell columns.  Storage is subclass-owned (lists on the pure
-    #: backend, ndarrays on the vectorized one); the scalar reference
-    #: primitives below only require index / in-place-mutate access.
+    #: backend, ndarrays on the vectorized one); the IBLT facade exposes
+    #: them under the same names.
     counts: Any
     key_sums: Any
     check_sums: Any
@@ -162,12 +162,13 @@ class Backend(abc.ABC):
 
     # ------------------------------------------------------- batch peeling
     #
-    # The round-based decoder (see :mod:`repro.iblt.decode`) drives peeling
-    # through three bulk primitives so array backends can do whole rounds
-    # without a per-key Python round-trip.  The reference implementations
-    # below are defined in terms of the scalar operations, so any backend
-    # gets a correct (if slow) batch decode for free; the returned sequence
-    # types are backend-native (lists here, arrays on vector backends).
+    # The round-based decoder (see :mod:`repro.iblt.decode`) scans with
+    # these two bulk primitives and removes each round's keys with one
+    # signed :meth:`apply_batch`, so array backends do whole rounds without
+    # a per-key Python round-trip.  The reference implementations below are
+    # defined in terms of the scalar operations, so any backend gets a
+    # correct (if slow) batch decode for free; the returned sequence types
+    # are backend-native (lists here, arrays on vector backends).
 
     def pure_mask(self) -> tuple[Sequence[int], Sequence[int]]:
         """Parallel ``(indices, signs)`` of every pure cell, index-ascending.
@@ -188,48 +189,6 @@ class Backend(abc.ABC):
     def gather_cells(self, indices: Sequence[int]) -> Sequence[int]:
         """The ``key_sum`` field of each listed cell, in the given order."""
         return [self.cell(int(index))[1] for index in indices]
-
-    def scatter_update(self, keys: Sequence[int], signs: Sequence[int]) -> None:
-        """Remove a batch of peeled keys from their cells.
-
-        Equivalent to ``for key, sign in zip(keys, signs): self.apply(key,
-        -sign)`` — a positive-sign (Alice-side) key is deleted, a
-        negative-sign (Bob-side) key re-inserted.  Keys come from the
-        table's own ``key_sum`` fields, so they are already width-valid.
-        """
-        for key, sign in zip(keys, signs):
-            self.apply(int(key), -int(sign))
-
-    def merge_cells(
-        self,
-        indices: Sequence[int],
-        counts: Sequence[int],
-        key_sums: Sequence[int],
-        check_sums: Sequence[int],
-    ) -> None:
-        """Accumulate arriving cell contents into the listed cells.
-
-        ``counts[j]`` adds into cell ``indices[j]``'s count; ``key_sums[j]``
-        / ``check_sums[j]`` XOR into the matching fields.  This is the
-        intake primitive of the resumable decoder
-        (:class:`repro.iblt.decode.PeelState`): a late-arriving cell joins a
-        table that may already hold peel corrections for it, and add/XOR is
-        exactly "true cell content combined with those corrections".
-        Indices must be unique within one call — vectorized overrides may
-        apply the update with fancy indexing, where duplicates would drop
-        writes.  This scalar reference works for any backend exposing the
-        three cell columns as indexable attributes.
-        """
-        own_counts = self.counts
-        own_key_sums = self.key_sums
-        own_check_sums = self.check_sums
-        for index, count, key_sum, check_sum in zip(
-            indices, counts, key_sums, check_sums
-        ):
-            index = int(index)
-            own_counts[index] += int(count)
-            own_key_sums[index] ^= int(key_sum)
-            own_check_sums[index] ^= int(check_sum)
 
     # ----------------------------------------------------------- validation
 

@@ -124,15 +124,3 @@ class PureBackend(Backend):
     def gather_cells(self, indices):
         key_sums = self.key_sums
         return [key_sums[index] for index in indices]
-
-    def scatter_update(self, keys, signs) -> None:
-        # apply(key, -sign) without re-validating keys that came straight
-        # out of this table's own key_sum fields.
-        counts, key_sums, check_sums = self.counts, self.key_sums, self.check_sums
-        for key, sign in zip(keys, signs):
-            key_mix = splitmix64(key)
-            check = splitmix64(self._check_premix ^ key_mix) & self._check_mask
-            for index in self._hashes.indices_from_mix(key_mix):
-                counts[index] -= sign
-                key_sums[index] ^= key
-                check_sums[index] ^= check

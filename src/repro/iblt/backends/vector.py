@@ -254,28 +254,3 @@ class NumpyBackend(Backend):
 
     def gather_cells(self, indices):
         return self.key_sums[indices]
-
-    def scatter_update(self, keys, signs) -> None:
-        """One vectorized round of peel removals (``apply(key, -sign)``).
-
-        Reuses the batch scatter kernel with per-key deltas, so keys
-        sharing cells within one round accumulate exactly like sequential
-        removals.
-        """
-        keys = _np.asarray(keys, dtype=_U64)
-        if keys.size == 0:
-            return
-        self._scatter(keys, -_np.asarray(signs, dtype=_np.int64))
-
-    def merge_cells(self, indices, counts, key_sums, check_sums) -> None:
-        """Vectorized late-cell intake (see the reference docstring).
-
-        Fancy indexing instead of ``.at`` scatters — the contract requires
-        unique indices per call, so buffered updates are safe and faster.
-        """
-        index_array = _np.asarray(indices, dtype=_np.intp)
-        if index_array.size == 0:
-            return
-        self.counts[index_array] += _np.asarray(counts, dtype=_np.int64)
-        self.key_sums[index_array] ^= _np.asarray(key_sums, dtype=_U64)
-        self.check_sums[index_array] ^= _np.asarray(check_sums, dtype=_U64)

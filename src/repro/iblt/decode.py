@@ -16,10 +16,10 @@ Two strategies implement the same peeling:
 ``"batch"`` (default)
     Round-based: each round finds *all* currently pure cells with one
     vectorized scan (:meth:`~repro.iblt.table.IBLT.pure_mask`), gathers
-    their keys, and scatter-applies every removal in one bulk pass
-    (:meth:`~repro.iblt.table.IBLT.scatter_update`), repeating until no
-    pure cell remains.  On array backends a whole round costs a handful of
-    numpy kernels instead of a Python round-trip per key.
+    their keys, and removes them all with one signed batch update
+    (:meth:`~repro.iblt.table.IBLT.apply_many` with the signs negated),
+    repeating until no pure cell remains.  On array backends a whole round
+    costs a handful of numpy kernels instead of a Python round-trip per key.
 
 ``"scalar"``
     The classic one-key-at-a-time stack peel, kept for diagnostics and as
@@ -41,36 +41,23 @@ partial key lists are strategy-specific.
 Resumable peeling
 -----------------
 
-:class:`PeelState` makes the peel loop a first-class, *resumable* object:
-cells may arrive over time — whole extra tables via :meth:`PeelState.extend`
-(the rateless protocol streams IBLT segments this way) or individual cells
-via :meth:`PeelState.feed_cells` — and each arrival continues peeling from
-where the previous one stalled instead of re-decoding from scratch.  The
-state spans a *sequence of segments* forming one concatenated cell space;
-the contract is that **every difference key occupies its ``q`` cells in
-every segment** (segments are same-keyspace sketches under independent
-seeds), so a key recovered from any one segment can be removed from all of
-them.  ``decode()`` is now a thin wrapper: one fully-known segment, peeled
-to exhaustion — bit-identical to the historical monolithic implementation.
-
-Cells that have been *declared* but not yet *fed* start zeroed; peel
-corrections for already-recovered keys accumulate in them, and
-:meth:`~repro.iblt.table.IBLT.merge_cells` later adds the true cell content
-on top (count adds, sums XOR commute), so a resumed peel sees exactly the
-cells a fresh decode of the full table would.  Unknown cells can *look*
-pure while holding only a correction, so every purity scan filters through
-the per-segment known mask; fully-known segments skip the filter and run
-the historical fast path.
+:class:`PeelState` makes the peel loop a resumable object: whole tables
+join over time via :meth:`PeelState.extend` (the rateless protocol streams
+IBLT segments this way), and each arrival continues peeling from where the
+previous one stalled instead of re-decoding from scratch.  The contract is
+that **every difference key occupies its ``q`` cells in every segment**
+(segments are same-keyspace sketches under independent seeds), so a key
+recovered from any one segment is removed from all of them, and a late
+segment has the keys recovered so far removed before it joins.
+``decode()`` is a thin wrapper: one segment, peeled to exhaustion.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from repro.errors import ConfigError
-from repro.iblt.table import IBLT, IBLTConfig
+from repro.iblt.table import IBLT
 
 try:  # soft dependency: only the batch-round dedup has a numpy fast path
     import numpy as _np
@@ -154,79 +141,40 @@ def decode(
 class PeelState:
     """Resumable peeling over a growing sequence of IBLT segments.
 
-    The state owns working copies of every segment handed to it, the keys
-    recovered so far (with signs and extraction order), and the guard
-    counters.  New cells join in two ways:
-
-    :meth:`extend`
-        Append a whole table as a fully-known segment and resume peeling.
-        The rateless sessions use this: each wire increment is one segment.
-
-    :meth:`declare` + :meth:`feed_cells`
-        Announce a segment's shape up front (all cells unknown), then merge
-        cell contents as they arrive — in any order, any grouping — peeling
-        after each batch.  Cell indices are *global* across the
-        concatenated declared space.
+    The state owns working copies of every segment handed to it via
+    :meth:`extend`, the keys recovered so far (with signs and extraction
+    order), and the guard counters.  The rateless sessions feed each wire
+    increment as one segment.
 
     All segments must share key and checksum widths, and every difference
     key must occupy its ``q`` cells in **every** segment (independent seeds
     over one keyspace); recovered keys are removed from all segments, and
-    corrections for late segments are replayed at registration time.
+    corrections for late segments are replayed when they join.
 
-    ``max_items=None`` means a dynamic guard of ``2 × total declared
-    cells``, re-evaluated as segments arrive.  Once the guard trips the
-    state is poisoned (``failed``) — further cells merge but never peel.
+    ``max_items=None`` means a dynamic guard of ``2 × total cells``,
+    re-evaluated as segments arrive.  Once the guard trips the state is
+    poisoned (``failed``) — further segments join but never peel.
 
-    With a single :meth:`extend`-ed segment the peel — including
-    ``peel_order`` — is bit-identical to the historical ``decode()``;
-    resumed runs recover identical key multisets but may order extractions
-    differently (the differential suite in ``tests/test_peel_state.py``
-    pins this).
+    With a single segment the peel — including ``peel_order`` — is exactly
+    ``decode()``'s; resumed runs recover the same key multisets as a fresh
+    decode of every segment would.
     """
 
-    def __init__(
-        self,
-        config: IBLTConfig | None = None,
-        *,
-        strategy: str = "batch",
-        max_items: int | None = None,
-        backend: str | None = None,
-    ):
+    def __init__(self, *, strategy: str = "batch", max_items: int | None = None):
         if strategy not in DECODE_STRATEGIES:
             raise ConfigError(
                 f"decode strategy must be one of {DECODE_STRATEGIES}, got {strategy!r}"
             )
         self._strategy = strategy
         self._max_items = max_items
-        self._backend = backend
         self._segments: list[IBLT] = []
-        #: Per segment: list of per-cell known flags, or ``None`` once every
-        #: cell is known (the fast path never allocates the mask).
-        self._known: list[list[bool] | None] = []
-        self._unknown: list[int] = []
-        self._starts: list[int] = []
         self._total_cells = 0
         self._alice: list[int] = []
         self._bob: list[int] = []
         self._order: list[tuple[int, int]] = []
         self._failed = False
-        if config is not None:
-            self.declare(config)
 
     # ------------------------------------------------------------ properties
-
-    @property
-    def strategy(self) -> str:
-        return self._strategy
-
-    @property
-    def total_cells(self) -> int:
-        """Cells across all declared/extended segments."""
-        return self._total_cells
-
-    @property
-    def segment_count(self) -> int:
-        return len(self._segments)
 
     @property
     def failed(self) -> bool:
@@ -234,18 +182,12 @@ class PeelState:
         return self._failed
 
     @property
-    def fully_known(self) -> bool:
-        """True when every declared cell has been fed."""
-        return all(unknown == 0 for unknown in self._unknown)
-
-    @property
     def solved(self) -> bool:
         """True when peeling has provably recovered the whole difference:
-        every segment is fully known and peeled to empty."""
+        every segment is peeled to empty."""
         return (
             not self._failed
             and bool(self._segments)
-            and self.fully_known
             and all(segment.is_empty() for segment in self._segments)
         )
 
@@ -256,83 +198,31 @@ class PeelState:
 
     # ------------------------------------------------------------- growing
 
-    def declare(self, config: IBLTConfig) -> int:
-        """Register a segment whose cell contents will arrive later via
-        :meth:`feed_cells`; returns the segment's index."""
-        work = IBLT(config, backend=self._backend)
-        self._apply_corrections(work)
-        return self._register(work, known=False)
-
-    def extend(self, table: IBLT) -> int:
-        """Append ``table`` as a fully-known segment and resume peeling.
+    def extend(self, table: IBLT) -> None:
+        """Append ``table`` as a segment and resume peeling.
 
         The table is copied (peeling is destructive), corrections for keys
         already recovered from earlier segments are replayed into the copy,
-        and the peel continues until it stalls again.  Returns the new
-        segment's index.
+        and the peel continues until it stalls again.
         """
+        config = table.config
+        if self._segments:
+            first = self._segments[0].config
+            if (
+                config.key_bits != first.key_bits
+                or config.checksum_bits != first.checksum_bits
+            ):
+                raise ConfigError(
+                    "peel segments must share key and checksum widths, got "
+                    f"{config.key_bits}/{config.checksum_bits} bits after "
+                    f"{first.key_bits}/{first.checksum_bits}"
+                )
         work = table.copy()
-        self._apply_corrections(work)
-        index = self._register(work, known=True)
-        self._peel()
-        return index
-
-    def feed_cells(
-        self,
-        indices: Sequence[int],
-        cells: Iterable[tuple[int, int, int]],
-    ) -> None:
-        """Merge newly arrived cell contents and resume peeling.
-
-        ``indices`` are *global* positions in the concatenated declared
-        space; ``cells`` holds the matching ``(count, key_sum, check_sum)``
-        triples.  Each cell may be fed exactly once (arriving content is
-        *added* onto any peel corrections already accumulated in the zeroed
-        placeholder, so a duplicate would corrupt the cell).
-        """
-        triples = [tuple(cell) for cell in cells]
-        index_list = [int(index) for index in indices]
-        if len(index_list) != len(triples):
-            raise ConfigError(
-                "feed_cells needs one (count, key_sum, check_sum) triple "
-                f"per index, got {len(index_list)} indices for "
-                f"{len(triples)} cells"
-            )
-        per_segment: dict[int, tuple[list, list, list, list]] = {}
-        seen: set[int] = set()
-        for global_index, (count, key_sum, check_sum) in zip(index_list, triples):
-            if not 0 <= global_index < self._total_cells:
-                raise ConfigError(
-                    f"cell index {global_index} outside the declared space "
-                    f"of {self._total_cells} cells"
-                )
-            if global_index in seen:
-                raise ConfigError(
-                    f"duplicate cell index {global_index} in one feed"
-                )
-            seen.add(global_index)
-            segment = bisect_right(self._starts, global_index) - 1
-            local = global_index - self._starts[segment]
-            known = self._known[segment]
-            if known is None or known[local]:
-                raise ConfigError(
-                    f"cell index {global_index} was already fed"
-                )
-            bucket = per_segment.setdefault(segment, ([], [], [], []))
-            bucket[0].append(local)
-            bucket[1].append(int(count))
-            bucket[2].append(int(key_sum))
-            bucket[3].append(int(check_sum))
-        for segment, (locals_, counts, key_sums, check_sums) in per_segment.items():
-            self._segments[segment].merge_cells(
-                locals_, counts, key_sums, check_sums
-            )
-            known = self._known[segment]
-            for local in locals_:
-                known[local] = True
-            self._unknown[segment] -= len(locals_)
-            if self._unknown[segment] == 0:
-                self._known[segment] = None
+        if self._order:
+            keys = [key for key, _ in self._order]
+            work.apply_many(keys, [-sign for _, sign in self._order])
+        self._segments.append(work)
+        self._total_cells += config.cells
         self._peel()
 
     # ------------------------------------------------------------- results
@@ -341,10 +231,8 @@ class PeelState:
         """Snapshot the peel outcome as a :class:`DecodeResult`.
 
         ``success`` mirrors :attr:`solved`; ``remaining_cells`` counts
-        non-empty cells across all segments (on a partially-fed state this
-        includes unknown cells holding only corrections — a diagnostic, not
-        a decode verdict).  May be called repeatedly; the state stays
-        usable for further feeding.
+        non-empty cells across all segments.  May be called repeatedly;
+        the state stays usable for further segments.
         """
         return DecodeResult(
             success=self.solved,
@@ -363,38 +251,9 @@ class PeelState:
             return self._max_items
         return 2 * self._total_cells
 
-    def _register(self, work: IBLT, known: bool) -> int:
-        config = work.config
-        if self._segments:
-            first = self._segments[0].config
-            if (
-                config.key_bits != first.key_bits
-                or config.checksum_bits != first.checksum_bits
-            ):
-                raise ConfigError(
-                    "peel segments must share key and checksum widths, got "
-                    f"{config.key_bits}/{config.checksum_bits} bits after "
-                    f"{first.key_bits}/{first.checksum_bits}"
-                )
-        self._segments.append(work)
-        self._known.append(None if known else [False] * config.cells)
-        self._unknown.append(0 if known else config.cells)
-        self._starts.append(self._total_cells)
-        self._total_cells += config.cells
-        return len(self._segments) - 1
-
-    def _apply_corrections(self, work: IBLT) -> None:
-        """Remove already-recovered keys from a newly registered segment
-        (every difference key occupies cells in every segment)."""
-        if not self._order:
-            return
-        keys = [key for key, _ in self._order]
-        signs = [sign for _, sign in self._order]
-        work.scatter_update(keys, signs)
-
     def _record(self, keys, signs) -> None:
-        # Backend-native arrays feed the scatter; the result lists hold
-        # Python ints (what every protocol layer downstream expects).
+        # Backend-native arrays feed the removal batch; the result lists
+        # hold Python ints (what every protocol layer downstream expects).
         key_list = keys.tolist() if hasattr(keys, "tolist") else keys
         sign_list = signs.tolist() if hasattr(signs, "tolist") else signs
         for key, sign in zip(key_list, sign_list):
@@ -416,14 +275,10 @@ class PeelState:
 
     def _pure_round(self):
         """One round's worth of verified pure cells across all segments,
-        (segment, index)-ascending, unknown cells filtered out."""
+        (segment, index)-ascending."""
         gathered = []
-        for segment, known, unknown in zip(
-            self._segments, self._known, self._unknown
-        ):
+        for segment in self._segments:
             indices, signs = segment.pure_mask()
-            if unknown:
-                indices, signs = _filter_known(indices, signs, known)
             if len(indices) == 0:
                 continue
             gathered.append((segment.gather_cells(indices), signs))
@@ -465,8 +320,13 @@ class PeelState:
                 self._failed = True
             self._record(keys, signs)
             if len(keys):
+                # Removing a key undoes its sign: Alice's (+1) keys are
+                # deleted, Bob's (-1) keys re-inserted.
+                removal = (
+                    -signs if hasattr(signs, "dtype") else [-s for s in signs]
+                )
                 for segment in self._segments:
-                    segment.scatter_update(keys, signs)
+                    segment.apply_many(keys, removal)
             if self._failed:
                 return
 
@@ -478,11 +338,7 @@ class PeelState:
         # the peel order identically across backends.
         stack: list[tuple[int, int]] = []
         for seg, segment in enumerate(self._segments):
-            pure = segment.pure_cells()
-            known = self._known[seg]
-            if self._unknown[seg]:
-                pure = [index for index in pure if known[index]]
-            stack.extend((seg, index) for index in pure)
+            stack.extend((seg, index) for index in segment.pure_cells())
         seen_pure = set(stack)
 
         while stack:
@@ -509,11 +365,7 @@ class PeelState:
                     other.delete(key)
                 else:
                     other.insert(key)
-                other_known = self._known[other_seg]
-                other_unknown = self._unknown[other_seg]
                 for neighbour in other.hashes.indices(key):
-                    if other_unknown and not other_known[neighbour]:
-                        continue
                     candidate = (other_seg, neighbour)
                     if other.cell_is_pure(neighbour) and candidate not in seen_pure:
                         stack.append(candidate)
@@ -547,22 +399,3 @@ def _dedup_first_key(keys, signs):
             out_keys.append(key)
             out_signs.append(sign)
     return out_keys, out_signs
-
-
-def _filter_known(indices, signs, known):
-    """Keep only pure-scan hits whose cells have actually been fed.
-
-    A declared-but-unfed cell holds nothing but peel corrections, which can
-    masquerade as a verified pure cell ``(−sign, key, check(key))`` —
-    extracting one would un-peel a recovered key.
-    """
-    if _np is not None and isinstance(indices, _np.ndarray):
-        keep = _np.asarray(known, dtype=bool)[indices]
-        return indices[keep], signs[keep]
-    kept_indices = []
-    kept_signs = []
-    for index, sign in zip(indices, signs):
-        if known[index]:
-            kept_indices.append(index)
-            kept_signs.append(sign)
-    return kept_indices, kept_signs

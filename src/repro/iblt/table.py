@@ -275,16 +275,6 @@ class IBLT:
         """The ``key_sum`` field of each listed cell (backend-native)."""
         return self._backend.gather_cells(indices)
 
-    def scatter_update(self, keys, signs) -> None:
-        """Bulk-remove peeled keys: ``apply(key, -sign)`` per pair."""
-        self._backend.scatter_update(keys, signs)
-
-    def merge_cells(self, indices, counts, key_sums, check_sums) -> None:
-        """Accumulate arriving cell contents (count add, sum XOR) into the
-        listed cells — the resumable decoder's late-cell intake.  Indices
-        must be unique within one call."""
-        self._backend.merge_cells(indices, counts, key_sums, check_sums)
-
     def copy(self) -> "IBLT":
         """Deep copy (used by the decoder, which peels destructively)."""
         return IBLT._wrap(self.config, self._backend.copy())

@@ -50,8 +50,6 @@ PRIMITIVES = (
     "pure_cells",
     "pure_mask",
     "gather_cells",
-    "scatter_update",
-    "merge_cells",
 )
 
 _VARIADIC = (

@@ -23,9 +23,8 @@ and numpy fast paths that pack / unpack whole tables columnarly via
 
 The fast paths are **bit-identical** to the scalar reference — golden
 transcripts do not move — and fall back to the scalar functions whenever
-they cannot guarantee that (no numpy, ``FORCE_SCALAR`` set, fields wider
-than 64 bits, values that do not fit native dtypes, adversarial varint
-chains).  Fallbacks re-parse from the original stream position, so the
+they cannot guarantee that (no numpy, fields wider than 64 bits, values
+that do not fit native dtypes, adversarial varint chains).  Fallbacks re-parse from the original stream position, so the
 error type, message, and consumed-bit count on malformed payloads are
 byte-for-byte the reference's.  The codec's differential tests check
 both properties against the reference.
@@ -54,12 +53,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
 from repro.errors import SerializationError
 from repro.net.bits import BitReader, BitWriter, zigzag_decode, zigzag_encode
 
-#: Test seam forcing the scalar reference paths everywhere: the wire
-#: differential tests and ``benchmarks/bench_wire.py`` set it to compare
-#: both paths.  No runtime option selects it; without numpy the scalar
-#: paths run anyway.
-FORCE_SCALAR = False
-
 #: The scalar reader rejects varints longer than 1024 bits (147 groups);
 #: chains at or past the limit fall back so the reference error fires.
 _VARINT_MAX_GROUPS = 146
@@ -73,7 +66,6 @@ _VARINT_U64_GROUPS = 9
 def _vector_ready(key_bits: int, check_bits: int) -> bool:
     return (
         _np is not None
-        and not FORCE_SCALAR
         and 0 < key_bits <= 64
         and 0 < check_bits <= 64
     )

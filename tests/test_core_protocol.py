@@ -212,6 +212,14 @@ class TestFailureModes:
         with pytest.raises(ReconciliationFailure):
             reconciler.decode_and_repair(payload, [(2,)], probe="quantum")
 
+    def test_repair_from_sketch_rejects_empty_sketch(self):
+        """A sketch carrying zero levels must fail loudly, not IndexError."""
+        config = ProtocolConfig(delta=256, dimension=1, k=2, seed=3)
+        reconciler = HierarchicalReconciler(config)
+        empty = HierarchySketch(n_points=0, levels=[])
+        with pytest.raises(ReconciliationFailure, match="no levels"):
+            reconciler.repair_from_sketch(empty, [(2,)])
+
     def test_corrupted_payload_fails_or_degrades_gracefully(self):
         """A flipped byte corrupts one level's cells; the checksums make
         that level undecodable, and the protocol either repairs from

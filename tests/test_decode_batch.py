@@ -16,8 +16,6 @@ import random
 
 import pytest
 
-from repro.core.config import ProtocolConfig
-from repro.core.incremental import IncrementalSketch
 from repro.errors import ConfigError
 from repro.iblt.backends import available_backends
 from repro.iblt.decode import DECODE_STRATEGIES, decode
@@ -234,52 +232,3 @@ def test_batch_decode_bit_identical_across_backends(q):
                 )
             )
         assert all(fingerprint == results[0] for fingerprint in results[1:])
-
-
-# ------------------------------------------------------- protocol-level
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_incremental_decode_difference(backend):
-    """A live incremental sketch decodes a peer's message without re-encoding."""
-    config = ProtocolConfig(delta=256, dimension=1, k=4, seed=5, backend=backend)
-    alice = IncrementalSketch(config)
-    bob = IncrementalSketch(config)
-    shared = [(i * 7 % 256,) for i in range(30)]
-    alice.insert_all(shared + [(201,)])
-    bob.insert_all(shared)
-    bob.insert((99,))
-    bob.remove((99,))  # exercise maintenance before decoding
-
-    level, result = bob.decode_difference(alice.encode())
-    assert result.success
-    assert result.difference_size >= 1
-    # Level-0 keys are exact (cell side 1): the packed difference names 201.
-    if level == 0:
-        occ_bits = bob.grid.occupancy_bits
-        cells = {key >> occ_bits for key in result.alice_keys}
-        assert bob.grid.cell_id((201,), 0) in cells
-    # The sketch stayed intact: decoding again gives the same answer.
-    assert bob.decode_difference(alice.encode())[0] == level
-
-
-def test_incremental_decode_difference_probe_validation():
-    config = ProtocolConfig(delta=64, dimension=1, k=2, seed=1)
-    sketch = IncrementalSketch(config)
-    sketch.insert((3,))
-    from repro.errors import ReconciliationFailure
-
-    with pytest.raises(ReconciliationFailure):
-        sketch.decode_difference(sketch.encode(), probe="zigzag")
-
-
-def test_incremental_decode_difference_rejects_empty_payload():
-    """A payload carrying zero levels must fail loudly, not IndexError."""
-    from repro.core.sketch import HierarchySketch
-    from repro.errors import ReconciliationFailure
-
-    config = ProtocolConfig(delta=256, dimension=1, k=2, seed=3)
-    sketch = IncrementalSketch(config)
-    empty = HierarchySketch(n_points=0, levels=[]).to_bytes()
-    with pytest.raises(ReconciliationFailure, match="no levels"):
-        sketch.decode_difference(empty)

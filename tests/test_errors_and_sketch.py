@@ -125,13 +125,3 @@ class TestHierarchySketchWire:
         payload[3] = 200
         with pytest.raises(SerializationError):
             HierarchySketch.from_bytes(bytes(payload), self.config, self.grid)
-
-    def test_cells_by_level_override(self):
-        small = LevelSketch(
-            2, IBLT(level_iblt_config(self.config, self.grid, 2, cells=16))
-        )
-        sketch = HierarchySketch(n_points=1, levels=[small])
-        restored = HierarchySketch.from_bytes(
-            sketch.to_bytes(), self.config, self.grid, cells_by_level={2: 16}
-        )
-        assert restored.levels[0].table.config.cells == 16

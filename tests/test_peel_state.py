@@ -1,20 +1,17 @@
 """Differential suite for the resumable :class:`~repro.iblt.decode.PeelState`.
 
-Contract under test: a peel *resumed* across arbitrarily chunked cell
-arrivals — ``declare`` + ``feed_cells`` in any grouping and order, or
-whole segments via ``extend`` — finishes with exactly the same outcome as
-a fresh ``decode()`` of everything at once: same ``success``, same
-``alice_keys`` / ``bob_keys`` as multisets, same ``remaining_cells``.
-That invariance is what makes the rateless protocol sound (peeling is
-confluent: the recovered keys are the complement of the hypergraph's
-2-core, which no arrival order can change).  A single ``extend``-ed
-segment must additionally be *bit-identical* to ``decode()``, peel order
-included — ``decode()`` is now a wrapper over this path.
+Contract under test: a peel *resumed* across whole segments added with
+``extend`` finishes with the true difference, and a single ``extend``-ed
+segment is *bit-identical* to ``decode()``, peel order included —
+``decode()`` is a wrapper over this path.  Peeling is confluent (the
+recovered keys are the complement of the hypergraph's 2-core, which no
+arrival order can change), which is what makes the rateless protocol
+sound.
 
 Also pinned here: the within-round ``max_items`` guard (a batch round
 larger than the remaining budget must truncate, not overshoot — the old
-decoder applied whole rounds before checking) and the ``feed_cells``
-misuse errors.
+decoder applied whole rounds before checking) and the constructor and
+segment-width misuse errors.
 """
 
 from __future__ import annotations
@@ -59,55 +56,7 @@ def _fingerprint(result):
     )
 
 
-def _cells_of(table):
-    return [table.cell(index) for index in range(table.config.cells)]
-
-
-def _feed_in_chunks(state, tables, chunks, rng):
-    """Declare every table, then feed all cells in ``chunks`` shuffled pieces."""
-    offsets = []
-    for table in tables:
-        offsets.append(state.declare(table.config))
-    triples = []
-    start = 0
-    for table in tables:
-        for local, cell in enumerate(_cells_of(table)):
-            triples.append((start + local, cell))
-        start += table.config.cells
-    rng.shuffle(triples)
-    size = max(1, -(-len(triples) // chunks))
-    for begin in range(0, len(triples), size):
-        piece = triples[begin:begin + size]
-        state.feed_cells(
-            [index for index, _ in piece], [cell for _, cell in piece]
-        )
-    return offsets
-
-
 # --------------------------------------------------- incremental == fresh
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("strategy", DECODE_STRATEGIES)
-@pytest.mark.parametrize("q", QS)
-def test_chunked_feed_matches_fresh_decode(backend, strategy, q):
-    """feed_cells in k shuffled increments == decode() of the whole table,
-    across loads that succeed and loads that honestly stall."""
-    for seed in SEEDS:
-        rng = random.Random(90_000 * q + seed)
-        cells = q * rng.randint(8, 30)
-        for load in (0.3, 0.7, 1.2):
-            n_diff = max(1, int(load * cells))
-            alice_keys, bob_keys = _random_sides(rng, n_diff)
-            diff = _subtracted(alice_keys, bob_keys, cells, q, seed, backend)
-            fresh = decode(diff, strategy=strategy)
-            for chunks in (1, 3, 7):
-                state = PeelState(strategy=strategy, backend=backend)
-                _feed_in_chunks(state, [diff], chunks, rng)
-                assert state.fully_known
-                assert _fingerprint(state.result()) == _fingerprint(fresh), (
-                    seed, load, chunks
-                )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -133,8 +82,7 @@ def test_single_extend_is_bit_identical_to_decode(backend, strategy):
 @pytest.mark.parametrize("q", QS)
 def test_increments_after_a_stall_resume_the_peel(backend, strategy, q):
     """An undersized first segment stalls; a second independently seeded
-    segment of the same keyspace must finish the job — and chunked feeding
-    of both segments lands on the same outcome as whole-table extends."""
+    segment of the same keyspace must finish the job."""
     for seed in SEEDS:
         rng = random.Random(42_000 * q + seed)
         n_diff = rng.randint(12, 24)
@@ -157,40 +105,6 @@ def test_increments_after_a_stall_resume_the_peel(backend, strategy, q):
             set(alice_keys) ^ set(bob_keys)
         )
         assert recovered == expected
-
-        # Same two segments, arbitrary cell arrival order and grouping.
-        chunked = PeelState(strategy=strategy, backend=backend)
-        _feed_in_chunks(chunked, [seg0, seg1], 5, rng)
-        assert _fingerprint(chunked.result()) == _fingerprint(final)
-
-
-@pytest.mark.parametrize("strategy", DECODE_STRATEGIES)
-def test_declared_cells_do_not_leak_corrections(strategy):
-    """A declared-but-unfed segment accumulates corrections that can look
-    pure; peeling must never extract from it, and feeding the real cells
-    later must still converge to the true difference."""
-    rng = random.Random(99)
-    alice_keys, bob_keys = _random_sides(rng, 10)
-    seg0 = _subtracted(alice_keys, bob_keys, 80, 4, 3, "pure")
-    seg1 = _subtracted(alice_keys, bob_keys, 80, 4, 4, "pure")
-    state = PeelState(strategy=strategy)
-    state.extend(seg0)           # decodes fully: corrections now pending
-    assert state.solved
-    state.declare(seg1.config)   # zeroed cells absorb the corrections
-    assert not state.solved      # unknown cells block the verdict
-    assert not state.failed
-    before = state.result()
-    # Feed segment 1 for real; the corrections and the true content must
-    # cancel exactly (the state returns to solved with no new keys).
-    state.feed_cells(
-        range(seg0.config.cells, seg0.config.cells + seg1.config.cells),
-        _cells_of(seg1),
-    )
-    assert state.solved
-    after = state.result()
-    assert sorted(after.alice_keys) == sorted(before.alice_keys)
-    assert sorted(after.bob_keys) == sorted(before.bob_keys)
-    assert after.remaining_cells == 0
 
 
 # ------------------------------------------------------- max_items guard
@@ -263,37 +177,8 @@ class TestFeedCellsValidation:
         with pytest.raises(ConfigError):
             PeelState(strategy="quantum")
 
-    def test_count_mismatch(self):
-        state = PeelState(_config())
-        with pytest.raises(ConfigError, match="per index"):
-            state.feed_cells([0, 1], [(0, 0, 0)])
-
-    def test_index_out_of_range(self):
-        state = PeelState(_config(cells=40))
-        with pytest.raises(ConfigError, match="outside the declared space"):
-            state.feed_cells([40], [(0, 0, 0)])
-
-    def test_duplicate_index_in_one_feed(self):
-        state = PeelState(_config())
-        with pytest.raises(ConfigError, match="duplicate"):
-            state.feed_cells([3, 3], [(0, 0, 0), (0, 0, 0)])
-
-    def test_refeeding_a_cell_rejected(self):
-        state = PeelState(_config())
-        state.feed_cells([3], [(0, 0, 0)])
-        with pytest.raises(ConfigError, match="already fed"):
-            state.feed_cells([3], [(0, 0, 0)])
-
-    def test_extended_segment_cells_cannot_be_fed(self):
-        table = IBLT(_config())
-        state = PeelState()
-        state.extend(table)
-        with pytest.raises(ConfigError, match="already fed"):
-            state.feed_cells([0], [(0, 0, 0)])
-
     def test_mismatched_key_widths_rejected(self):
-        state = PeelState(_config())
+        state = PeelState()
+        state.extend(IBLT(_config()))
         with pytest.raises(ConfigError, match="key and checksum widths"):
-            state.declare(
-                IBLTConfig(cells=40, q=4, key_bits=32, seed=1)
-            )
+            state.extend(IBLT(IBLTConfig(cells=40, q=4, key_bits=32, seed=1)))

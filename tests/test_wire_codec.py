@@ -9,9 +9,9 @@ window, strata estimators, sharded v2 frames), across backends, q
 values, and seeds — and reject malformed payloads with exactly the same
 :class:`~repro.errors.SerializationError` behaviour.
 
-``FORCE_SCALAR`` is the escape hatch both sides of each comparison use:
-with it set, every write/read goes through the field-at-a-time reference
-paths that predate the codec.  Without numpy installed the two sides
+Hiding numpy from the codec (``codec._np = None``) is the escape hatch
+both sides of each comparison use: with it hidden, every write/read goes
+through the field-at-a-time reference paths that predate the codec.  Without numpy installed the two sides
 coincide (everything is scalar), so the suite stays green — and cheap —
 on the no-numpy CI leg.
 """
@@ -47,18 +47,18 @@ except ImportError:
 @pytest.fixture()
 def scalar_codec(monkeypatch):
     """Force the scalar reference paths for the duration of one test."""
-    monkeypatch.setattr(codec, "FORCE_SCALAR", True)
+    monkeypatch.setattr(codec, "_np", None)
 
 
 def _both_ways(produce):
     """Run ``produce`` with the vector codec and the scalar reference."""
     fast = produce()
-    saved = codec.FORCE_SCALAR
-    codec.FORCE_SCALAR = True
+    saved = codec._np
+    codec._np = None
     try:
         reference = produce()
     finally:
-        codec.FORCE_SCALAR = saved
+        codec._np = saved
     return fast, reference
 
 
