@@ -5,24 +5,32 @@ Claims under test:
 1. On a 1e5-point noise-free synthetic workload, the sharded engine with 4
    shards produces a repaired multiset **equal** to the unsharded
    protocol's (noise-free differences repair at level 0, where the
-   protocol's output is fully determined) while being **>= 2x faster**
-   wall-clock on encode+decode — on every executor, including the process
-   pool.  The speedup is architectural, not parallelism (CI boxes may have
-   one core): per-shard key passes stay in numpy arrays end-to-end, probed
-   levels reuse one pass per shard, repair planning touches only decoded
-   surplus cells, and the v2 columnar wire codec replaces ~3 Python calls
-   per IBLT cell with two ``packbits``/``unpackbits`` kernels.
+   protocol's output is fully determined).  The acceptance test also asks
+   for **>= 2x** faster encode+decode.  That floor dates from when the
+   decode techniques (one key pass per shard, a planner over surplus
+   cells only, the columnar wire codec) were private to the sharded
+   engine; they now serve the unsharded path too, and the test records
+   about 1.1-1.3x on 2 vCPUs (``results/b2_sharded_acceptance.txt``)
+   and fails.
 2. Total wire bits grow only mildly with shard count (per-shard sketches
    are sized to ``ceil(k / S)``).
+3. With numpy, the engine's thread fan-out pays: the ``sharded-4 inline``
+   row runs the same 4 shards one after another in the calling thread
+   (the engine's width forced to 1), and must be slower than
+   ``sharded-4`` at n = 1e5 and 1e6 for the thread branch to stay.
 
-Engines are constructed and warmed before timing (pool spawn and numpy
-first-call costs are one-time serving costs, not per-reconciliation work).
+Engines are constructed and warmed before timing (numpy first-call costs
+are one-time serving costs, not per-reconciliation work).  Each sharded
+encode and decode opens and closes its own shard pool, so that cost is
+timed.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
+import repro.scale.engine as sharded_engine
 from repro.analysis.tables import Table
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import HierarchicalReconciler
@@ -73,23 +81,33 @@ def _unsharded(n: int, true_k: int, workload):
     return _measure(engine, workload, encode, decode)
 
 
-def _sharded(n: int, true_k: int, workload, shards: int, executor: str):
+def _sharded(n: int, true_k: int, workload, shards: int):
     config = ProtocolConfig(
         delta=DELTA, dimension=2, k=2 * true_k, seed=SEED, backend=BACKEND,
-        shards=shards, workers=2 if executor != "serial" else None,
-        executor=executor,
+        shards=shards,
     )
+    engine = ShardedReconciler(config)
     encode = lambda e, pts: e.encode(pts)  # noqa: E731
     decode = lambda e, payload, pts: e.decode_and_repair(payload, pts)  # noqa: E731
-    with ShardedReconciler(config) as engine:
-        _warm(engine, encode, decode)
-        return _measure(engine, workload, encode, decode)
+    _warm(engine, encode, decode)
+    return _measure(engine, workload, encode, decode)
+
+
+@contextmanager
+def _inline_shards():
+    """Force the engine's fan-out width to 1, so shards run inline."""
+    real = sharded_engine.cpu_count
+    sharded_engine.cpu_count = lambda: 1
+    try:
+        yield
+    finally:
+        sharded_engine.cpu_count = real
 
 
 def experiment(regimes=REGIMES) -> str:
     table = Table(
         [
-            "n", "engine", "executor", "encode (s)", "decode (s)",
+            "n", "engine", "encode (s)", "decode (s)",
             "total (s)", "speedup", "wire (kbit)", "equal",
         ],
         title=(
@@ -102,18 +120,22 @@ def experiment(regimes=REGIMES) -> str:
         enc_u, dec_u, bits_u, repaired_u = _unsharded(n, true_k, workload)
         base_total = enc_u + dec_u
         table.add_row([
-            n, "unsharded", "-", f"{enc_u:.3f}", f"{dec_u:.3f}",
+            n, "unsharded", f"{enc_u:.3f}", f"{dec_u:.3f}",
             f"{base_total:.3f}", "1.0x", f"{bits_u / 1000:.0f}", "-",
         ])
-        shard_plans = [(2, "serial"), (4, "serial"), (8, "serial"),
-                       (4, "thread"), (4, "process")]
-        for shards, executor in shard_plans:
-            enc_s, dec_s, bits_s, repaired_s = _sharded(
-                n, true_k, workload, shards, executor
-            )
+        plans = [(shards, "") for shards in (2, 4, 8)]
+        if BACKEND == "numpy":
+            plans.append((4, " inline"))
+        for shards, inline in plans:
+            if inline:
+                with _inline_shards():
+                    measured = _sharded(n, true_k, workload, shards)
+            else:
+                measured = _sharded(n, true_k, workload, shards)
+            enc_s, dec_s, bits_s, repaired_s = measured
             total = enc_s + dec_s
             table.add_row([
-                n, f"sharded-{shards}", executor, f"{enc_s:.3f}",
+                n, f"sharded-{shards}{inline}", f"{enc_s:.3f}",
                 f"{dec_s:.3f}", f"{total:.3f}",
                 f"{base_total / total:.1f}x", f"{bits_s / 1000:.0f}",
                 str(repaired_s == repaired_u),
@@ -132,15 +154,15 @@ def test_sharded_table(benchmark, emit):
 
 
 def test_sharded_speedup_floor(emit):
-    """The acceptance bar: 4 shards + process executor on 1e5 points must
-    repair to the exact unsharded multiset >= 2x faster."""
+    """The acceptance bar: 4 shards on 1e5 points must repair to the exact
+    unsharded multiset >= 2x faster."""
     n, true_k = 100_000, 256
     workload = _workload(n, true_k)
     enc_u, dec_u, _, repaired_u = _unsharded(n, true_k, workload)
-    enc_s, dec_s, _, repaired_s = _sharded(n, true_k, workload, 4, "process")
+    enc_s, dec_s, _, repaired_s = _sharded(n, true_k, workload, 4)
     speedup = (enc_u + dec_u) / (enc_s + dec_s)
     lines = [
-        "B2 acceptance: sharded (4 shards, process executor) vs unsharded",
+        "B2 acceptance: sharded (4 shards) vs unsharded",
         f"workload: n={n}, true_k={true_k}, delta=2^20, d=2, noise-free, "
         f"backend={BACKEND}",
         f"unsharded: encode {enc_u:.3f}s decode {dec_u:.3f}s "

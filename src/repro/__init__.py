@@ -34,9 +34,10 @@ Scaling out
 -----------
 The sharded engine (:mod:`repro.scale`) splits the point space into
 ``ProtocolConfig(shards=S)`` deterministic spatial shards, runs one
-sub-protocol per shard through a pluggable serial / thread / process
-executor, and merges the per-shard repairs — bounded per-shard memory,
-multi-core encode/decode, and per-shard sketch sizing.  See
+sub-protocol per shard concurrently (threads for numpy, forked processes
+for pure, ``min(S, cpu_count)`` wide), and merges the per-shard repairs —
+bounded per-shard memory, multi-core encode/decode, and per-shard sketch
+sizing.  See
 :func:`repro.scale.reconcile_sharded` and
 :class:`repro.scale.ShardedIncrementalSketch`.
 

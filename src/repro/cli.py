@@ -46,7 +46,6 @@ from repro.core.rateless import reconcile_rateless
 from repro.errors import ConfigError, ReproError
 from repro.iblt.backends import available_backends, backend_names
 from repro.scale import reconcile_sharded
-from repro.scale.executors import executors_available
 from repro.serve import (
     DEFAULT_TIMEOUT,
     ReconciliationServer,
@@ -99,12 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--shards", type=int, default=1,
                      help="spatial shards for the sharded engine (default: 1 "
                           "= monolithic protocol)")
-    rec.add_argument("--workers", type=int, default=None,
-                     help="shard-executor concurrency (default: from machine)")
-    rec.add_argument("--executor", choices=("auto",) + executors_available(),
-                     default="auto",
-                     help="shard executor: serial, thread, or process pool "
-                          "(default: auto)")
     rec.add_argument("--output", type=Path, default=None,
                      help="write the repaired set to this JSON path")
 
@@ -136,12 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "single-process server, the exact pre-pool "
                             "behaviour; N>1 forks N accept loops sharing "
                             "one warmed core)")
-    serve.add_argument("--shard-workers", type=int, default=None,
-                       dest="shard_workers",
-                       help="shard-executor concurrency inside the sharded "
-                            "engine (default: from machine)")
-    serve.add_argument("--executor", choices=("auto",) + executors_available(),
-                       default="auto")
     serve.add_argument("--store-dir", type=Path, default=None,
                        dest="store_dir",
                        help="durable sketch store directory (must exist and "
@@ -278,11 +265,10 @@ def cmd_reconcile(args) -> int:
     config = ProtocolConfig(
         delta=data["delta"], dimension=data["dimension"], k=args.k,
         seed=args.seed, backend=args.backend, shards=args.shards,
-        workers=args.workers, executor=args.executor,
     )
     if variant == "sharded":
         runner = reconcile_sharded
-        protocol = f"sharded one-round ({args.shards} shards, {config.executor} executor)"
+        protocol = f"sharded one-round ({args.shards} shards)"
     elif variant == "adaptive":
         runner = reconcile_adaptive
         protocol = "adaptive 2-round"
@@ -342,7 +328,6 @@ def cmd_serve(args) -> int:
     config = ProtocolConfig(
         delta=data["delta"], dimension=data["dimension"], k=args.k,
         seed=args.seed, backend=args.backend, shards=args.shards,
-        workers=args.shard_workers, executor=args.executor,
     )
     points = data["alice"]
     if args.workers < 1:

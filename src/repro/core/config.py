@@ -21,11 +21,6 @@ from repro.errors import ConfigError
 from repro.iblt.backends import get_backend
 from repro.iblt.table import PEELING_THRESHOLDS, recommended_cells
 
-#: Shard-executor kinds accepted by :class:`ProtocolConfig` (implemented in
-#: :mod:`repro.scale.executors`; validated here so a typo fails at config
-#: construction rather than mid-protocol).
-EXECUTOR_KINDS = ("auto", "serial", "thread", "process")
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:
@@ -78,13 +73,6 @@ class ProtocolConfig:
         monolithic protocol.  The shard map is derived from the public coins,
         so both parties agree with no extra communication; like ``k`` it is
         part of the wire contract and must match on both sides.
-    workers:
-        Concurrency of the sharded engine's executor; ``None`` sizes it from
-        the machine.  Private (does not affect the wire) — the parties may
-        configure it independently.
-    executor:
-        Shard executor kind: ``"serial"``, ``"thread"``, ``"process"``, or
-        ``"auto"`` (pick per machine/backend).  Private, like ``workers``.
     """
 
     delta: int
@@ -100,8 +88,6 @@ class ProtocolConfig:
     random_shift: bool = True
     backend: str = "auto"
     shards: int = 1
-    workers: int | None = None
-    executor: str = "auto"
 
     def __post_init__(self) -> None:
         if self.delta < 2:
@@ -131,12 +117,6 @@ class ProtocolConfig:
             get_backend(self.backend)  # raises ConfigError if unknown/unavailable
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.workers is not None and self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.executor not in EXECUTOR_KINDS:
-            raise ConfigError(
-                f"executor must be one of {EXECUTOR_KINDS}, got {self.executor!r}"
-            )
         if self.levels is not None:
             if not self.levels:
                 raise ConfigError(

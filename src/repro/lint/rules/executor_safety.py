@@ -1,9 +1,9 @@
 """RPL007 — functions submitted to shard executors must not mutate shared
 state.
 
-The sharded engine maps one task per shard over a serial / thread /
-process pool (:mod:`repro.scale.executors`).  The same task function must
-be correct under all three, which it is only when it communicates through
+The sharded engine maps one task per shard inline, over a thread pool or
+over a process pool (see ``_fan_out`` in :mod:`repro.scale.engine`).  The
+same task function must be correct under all three, which it is only when it communicates through
 its arguments and return value alone: a task that mutates a module global
 or a closed-over mutable is a data race under the thread pool and a
 silent no-op under the process pool (the mutation happens in the worker's

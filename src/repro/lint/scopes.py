@@ -25,7 +25,7 @@ SANS_IO = (
 
 #: Protocol code whose behaviour must be a pure function of inputs and the
 #: shared public-coin seed: the sans-I/O set plus the sharded engine (its
-#: shard placement and wire bytes are part of the protocol; its executors
+#: shard placement and wire bytes are part of the protocol; its shard pools
 #: only affect scheduling).
 PROTOCOL = SANS_IO + ("scale/",)
 

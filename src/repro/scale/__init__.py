@@ -5,8 +5,9 @@ of the point space: a :class:`SpacePartitioner` splits ``[delta]^d`` into
 ``S`` shards by coarse grid cell (deterministically from the public coins,
 so both parties agree with no extra communication), and a
 :class:`ShardedReconciler` runs one full hierarchy sub-protocol per shard,
-encoding and decoding shards concurrently through a pluggable executor
-(serial / thread / process pool).
+encoding and decoding shards concurrently — on threads for the numpy
+backend, on forked processes for the pure one, ``min(shards, cpu_count)``
+wide.
 
 Because shard boundaries follow the shared shifted grid, every fine-level
 cell lies inside exactly one shard; each shard's sub-protocol therefore
@@ -19,7 +20,6 @@ from repro.scale.engine import (
     ShardedResult,
     reconcile_sharded,
 )
-from repro.scale.executors import ShardExecutor, make_executor
 from repro.scale.incremental import ShardedIncrementalSketch
 from repro.scale.partition import SpacePartitioner
 
@@ -27,8 +27,6 @@ __all__ = [
     "ShardedIncrementalSketch",
     "ShardedReconciler",
     "ShardedResult",
-    "ShardExecutor",
     "SpacePartitioner",
-    "make_executor",
     "reconcile_sharded",
 ]

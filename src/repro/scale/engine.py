@@ -15,11 +15,12 @@ shard, and frames the per-shard messages into a single wire payload:
                      (the v2 columnar codec, :mod:`repro.scale.wire`)
 
 Each shard's payload is byte-aligned, so the receiver slices it out in one
-``read_bytes`` and the shards decode independently — concurrently, through
-the pluggable executor.  The merged repair is a valid repair of the whole
-multiset because shard boundaries follow the shared shifted grid: a fine
-cell lies in exactly one shard, so per-shard occurrence ranks equal global
-ranks and per-shard edit scripts compose.
+``read_bytes`` and the shards decode independently — concurrently, on a
+pool each call opens and closes (see :func:`_fan_out`), so the engine holds
+no resources between calls.  The merged repair is a valid repair of the
+whole multiset because shard boundaries follow the shared shifted grid: a
+fine cell lies in exactly one shard, so per-shard occurrence ranks equal
+global ranks and per-shard edit scripts compose.
 
 Per-shard sketches are sized to the *local* difference budget
 (``ceil(k / S)``) rather than the global worst case, so total communication
@@ -34,8 +35,11 @@ so a shard decodes exactly as an unsharded Bob would.
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from os import cpu_count
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import HierarchicalReconciler, ReconcileResult
@@ -47,7 +51,6 @@ from repro.iblt.backends import available_backends
 from repro.net.bits import BitReader
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
-from repro.scale.executors import ShardExecutor, make_executor
 from repro.scale.partition import SpacePartitioner
 from repro.scale.wire import (
     SHARD_MAGIC,
@@ -71,7 +74,7 @@ def shard_protocol_config(config: ProtocolConfig) -> ProtocolConfig:
     if config.shards == 1:
         return config
     shard_k = max(1, -(-config.k // config.shards))
-    return replace(config, k=shard_k, shards=1, workers=None, executor="serial")
+    return replace(config, k=shard_k, shards=1)
 
 
 def _effective_backend(config: ProtocolConfig) -> str:
@@ -82,14 +85,55 @@ def _effective_backend(config: ProtocolConfig) -> str:
 
 @lru_cache(maxsize=32)
 def _shard_reconciler(config: ProtocolConfig) -> HierarchicalReconciler:
-    """Per-process cache: executor workers rebuild grids only once."""
+    """Per-process cache of shard reconcilers (grids included).
+
+    :class:`ShardedReconciler` fills it when constructed, so the workers
+    forked for each call inherit it warm instead of rebuilding the grids.
+    """
     return HierarchicalReconciler(config)
+
+
+def fork_available() -> bool:
+    """True when the ``fork`` start method exists (POSIX)."""
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+class _Inline:
+    """The one-worker fan-out: shards run in order, in this thread."""
+
+    map = staticmethod(map)
+
+    def __enter__(self) -> "_Inline":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+
+def _fan_out(config: ProtocolConfig):
+    """The pool for one shard fan-out, closed by the caller's ``with``.
+
+    It is ``min(shards, cpu_count)`` wide, and one worker runs the shards
+    inline.  numpy shards go to threads, which pickle nothing: with 4
+    shards on 2 CPUs they beat inline by about 1.3x at n = 1e5 and 1e6
+    (``benchmarks/bench_sharded.py`` times both).  Pure shards only scale
+    across processes, forked so they inherit the loaded library; without
+    ``fork`` they run inline.  Scheduling never reaches the wire.
+    """
+    width = min(config.shards, cpu_count() or 1)
+    if width > 1 and _effective_backend(config) == "numpy":
+        return ThreadPoolExecutor(max_workers=width)
+    if width > 1 and fork_available():
+        return ProcessPoolExecutor(
+            max_workers=width, mp_context=multiprocessing.get_context("fork")
+        )
+    return _Inline()
 
 
 # --------------------------------------------------------------- shard tasks
 #
 # Module-level functions over picklable arguments (configs, byte strings,
-# point lists), so the process executor can ship them to workers.
+# point lists), so a process pool can ship them to workers.
 
 
 def _encode_shard_task(args) -> bytes:
@@ -154,9 +198,8 @@ class ShardedResult:
 class ShardedReconciler:
     """Both endpoints of the sharded one-round protocol.
 
-    Usable as a context manager; :meth:`close` releases the executor pool.
-    The executor is built lazily from ``config.executor`` / ``config.workers``
-    on first use, so constructing the reconciler stays cheap.
+    Holds no resources: each :meth:`encode` and :meth:`decode_and_repair`
+    opens its own shard fan-out and closes it before returning.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -164,43 +207,18 @@ class ShardedReconciler:
         self.partitioner = SpacePartitioner(config)
         self.grid = self.partitioner.grid
         self.shard_config = shard_protocol_config(config)
-        self._executor: ShardExecutor | None = None
-
-    # ------------------------------------------------------------ lifecycle
-
-    @property
-    def executor(self) -> ShardExecutor:
-        """The shard executor (built on first use)."""
-        if self._executor is None:
-            self._executor = make_executor(
-                self.config.executor,
-                self.config.workers,
-                self.config.shards,
-                _effective_backend(self.config),
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the executor pool down (idempotent)."""
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
-
-    def __enter__(self) -> "ShardedReconciler":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        _shard_reconciler(self.shard_config)  # warm before any fork
 
     # ------------------------------------------------------------- Alice
 
     def encode(self, points) -> bytes:
         """Alice's single message: the shard directory plus every shard."""
         blocks = self.partitioner.split(points)
-        payloads = self.executor.map(
-            _encode_shard_task,
-            [(self.shard_config, block) for block in blocks],
-        )
+        with _fan_out(self.config) as pool:
+            payloads = list(pool.map(
+                _encode_shard_task,
+                [(self.shard_config, block) for block in blocks],
+            ))
         return write_frame(
             self.config.shards,
             self.partitioner.level,
@@ -240,13 +258,16 @@ class ShardedReconciler:
         """Bob's side: decode every shard, merge the edit scripts."""
         counts, payloads = self.parse_frame(payload)
         blocks = self.partitioner.split(bob_points)
-        shard_results = self.executor.map(
-            _decode_shard_task,
-            [
-                (self.shard_config, shard_payload, block, n_alice, strategy)
-                for shard_payload, block, n_alice in zip(payloads, blocks, counts)
-            ],
-        )
+        with _fan_out(self.config) as pool:
+            shard_results = list(pool.map(
+                _decode_shard_task,
+                [
+                    (self.shard_config, shard_payload, block, n_alice, strategy)
+                    for shard_payload, block, n_alice in zip(
+                        payloads, blocks, counts
+                    )
+                ],
+            ))
         return ShardedResult(
             repaired=[point for shard in shard_results for point in shard.repaired],
             shard_levels=[shard.level for shard in shard_results],
@@ -282,17 +303,15 @@ def reconcile_sharded(
     owns_channel = channel is None
     channel = channel if channel is not None else SimulatedChannel()
     first_message = len(channel.messages)
-    # One shared engine (grid + executor pool) for both endpoints, as the
-    # pre-session code had; injected reconcilers are not closed by sessions.
-    with ShardedReconciler(config) as reconciler:
-        alice = ShardedSession(
-            config, alice_points, role="alice", reconciler=reconciler
-        )
-        bob = ShardedSession(
-            config, bob_points, role="bob", strategy=strategy,
-            reconciler=reconciler,
-        )
-        _, result = pump(alice, bob, channel)
+    # One shared engine (grid and partitioner) for both endpoints.
+    reconciler = ShardedReconciler(config)
+    alice = ShardedSession(
+        config, alice_points, role="alice", reconciler=reconciler
+    )
+    bob = ShardedSession(
+        config, bob_points, role="bob", strategy=strategy, reconciler=reconciler
+    )
+    _, result = pump(alice, bob, channel)
     if owns_channel:
         channel.close()
     result.transcript = Transcript.from_messages(channel.messages[first_message:])

@@ -58,10 +58,10 @@ RESUME_TOKEN_MAGIC = 0xCA
 STALE_RESUME_CODE = "stale-resume"
 
 #: ProtocolConfig fields that shape wire bytes (the public-coin contract).
-#: Private knobs — backend, workers, executor — are
-#: deliberately absent: peers may differ on those.  ``shards`` is added
-#: only for the sharded variant (it frames the wire there and is ignored
-#: everywhere else, so a sharded server can still serve one-round peers).
+#: The private ``backend`` knob is deliberately absent: peers may differ
+#: on it.  ``shards`` is added only for the sharded variant (it frames the
+#: wire there and is ignored everywhere else, so a sharded server can
+#: still serve one-round peers).
 _WIRE_FIELDS = (
     "delta", "dimension", "k", "q", "occupancy_bits", "checksum_bits",
     "seed", "diff_margin", "metric", "levels", "random_shift",

@@ -62,13 +62,14 @@ from repro.core.adaptive import AdaptiveConfig
 from repro.core.config import ProtocolConfig
 from repro.core.rateless import RatelessConfig
 from repro.errors import ConfigError, SessionError
-from repro.scale.executors import fork_available
+from repro.scale.engine import fork_available
 from repro.serve.service import (
     DEFAULT_SESSION_DEADLINE,
     DEFAULT_TIMEOUT,
     ReconciliationServer,
     ServerCore,
     SessionStats,
+    tally,
 )
 
 #: Listen backlog for pool sockets: deep enough that a worker restart
@@ -97,27 +98,6 @@ def _bind(host: str, port: int, *, reuse_port: bool) -> socket.socket:
         sock.close()
         raise
     return sock
-
-
-def _session_record(stats: SessionStats) -> dict:
-    """The per-session message a worker streams to the parent: the stats
-    fields plus pre-computed byte counts, minus the transcript (which can
-    dwarf the session's own wire traffic)."""
-    record = {
-        "peer": stats.peer,
-        "variant": stats.variant,
-        "ok": stats.ok,
-        "error": stats.error,
-        "duration_s": stats.duration_s,
-        "shed": stats.shed,
-        "resumed_from": stats.resumed_from,
-        "bytes_out": 0,
-        "bytes_in": 0,
-    }
-    if stats.ok and stats.transcript is not None:
-        record["bytes_out"] = stats.transcript.alice_to_bob_bytes
-        record["bytes_in"] = stats.transcript.bob_to_alice_bytes
-    return record
 
 
 def _worker_main(index, core, sock, server_kwargs, conn) -> None:
@@ -162,7 +142,7 @@ async def _worker_serve(index, core, sock, server_kwargs, conn):
 
     def on_session(stats: SessionStats) -> None:
         try:
-            conn.send(("session", index, _session_record(stats)))
+            conn.send(("session", index, stats.record()))
         except (OSError, ValueError):  # pragma: no cover - parent died
             pass
 
@@ -238,7 +218,6 @@ class WorkerPoolServer:
             core = ServerCore(
                 config, points, adaptive=adaptive, rateless=rateless
             )
-            self._owns_core = True
         else:
             if config is not None or points is not None:
                 raise ConfigError(
@@ -249,7 +228,6 @@ class WorkerPoolServer:
                     "adaptive/rateless knobs live on the core when core= is "
                     "passed"
                 )
-            self._owns_core = False
         self.core = core
         self.workers = workers
         self.host = host
@@ -358,8 +336,8 @@ class WorkerPoolServer:
         self._conns[index] = parent_conn
         self._ready[index] = False
         # Not daemonic: a daemonic process may not start children of its
-        # own, and a worker's sharded engine may start a process executor
-        # (``ProtocolConfig.executor="process"``) for its shard fan-out.
+        # own, and a worker's sharded engine forks a process pool for a
+        # pure-backend encode.
         # Orphan protection comes from the worker's parent watcher
         # instead (see _worker_serve).
         process = self._ctx.Process(
@@ -397,23 +375,10 @@ class WorkerPoolServer:
                     self._ready[index] = True
                     self._pids[index] = message[2]
                 elif kind == "session":
-                    self._note_session(message[2])
+                    self.stats.append(message[2])
+                    tally(self._totals, message[2])
                 elif kind == "final":
                     self.worker_summaries[index] = message[2]
-
-    def _note_session(self, record: dict) -> None:
-        self.stats.append(record)
-        self._totals["sessions"] += 1
-        if record["shed"]:
-            self._totals["shed"] += 1
-        if record["resumed_from"] is not None and not record["shed"]:
-            self._totals["resumed"] += 1
-        if record["ok"]:
-            self._totals["ok"] += 1
-            self._totals["bytes_out"] += record["bytes_out"]
-            self._totals["bytes_in"] += record["bytes_in"]
-        else:
-            self._totals["failed"] += 1
 
     async def _monitor(self) -> None:
         """Health loop: drain stats, refork crashed workers.
@@ -446,7 +411,7 @@ class WorkerPoolServer:
     async def close(self) -> None:
         """Graceful stop: SIGTERM every worker, await their drains
         (bounded by ``session_deadline`` plus ``drain_grace``), SIGKILL
-        stragglers, collect final stats, release sockets and the core."""
+        stragglers, collect final stats, release sockets."""
         if self._closing:
             return
         self._closing = True
@@ -483,8 +448,6 @@ class WorkerPoolServer:
         for sock in self._socks:
             sock.close()
         self._socks = []
-        if self._owns_core:
-            self.core.close()
 
     async def __aenter__(self) -> "WorkerPoolServer":
         await self.start()

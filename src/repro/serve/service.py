@@ -146,6 +146,32 @@ class SessionStats:
             record["transcript"] = self.transcript.to_dict()
         return record
 
+    def record(self) -> dict:
+        """:meth:`to_dict` with the transcript (which can dwarf the
+        session's own wire traffic) folded into the byte counts of an ok
+        session: what a pool worker streams to its parent."""
+        record = self.to_dict()
+        transcript = record.pop("transcript", None)
+        counted = self.ok and transcript is not None
+        record["bytes_out"] = transcript["alice_to_bob_bytes"] if counted else 0
+        record["bytes_in"] = transcript["bob_to_alice_bytes"] if counted else 0
+        return record
+
+
+def tally(totals: dict, record: dict) -> None:
+    """Add one :meth:`SessionStats.record` to a server's running totals."""
+    totals["sessions"] += 1
+    if record["shed"]:
+        totals["shed"] += 1
+    elif record["resumed_from"] is not None:
+        totals["resumed"] += 1
+    if record["ok"]:
+        totals["ok"] += 1
+        totals["bytes_out"] += record["bytes_out"]
+        totals["bytes_in"] += record["bytes_in"]
+    else:
+        totals["failed"] += 1
+
 
 @dataclass
 class _ResumeEntry:
@@ -246,12 +272,7 @@ class ServerCore:
             self.store.insert_batch(points)
         self.points = list(self.points) + points
         self.ingests += 1
-        for reconciler in self._reconcilers.values():
-            close = getattr(reconciler, "close", None)
-            if close is not None:
-                close()
-        self._reconcilers.clear()
-        self._encoded.clear()
+        self.close()
         return len(points)
 
     def digest(self, variant: str) -> str:
@@ -330,9 +351,8 @@ class ServerCore:
         Called once in the pool parent before forking: digests, the
         per-variant reconcilers, the one-way encoded payloads, Alice's
         adaptive estimator/window state at every sampled level, and the
-        first ``rateless_increments`` rateless increments.  The sharded
-        engine's executor pool is released after its encode — live worker
-        pools must not cross a fork.  Returns ``self`` for chaining.
+        first ``rateless_increments`` rateless increments.  Returns
+        ``self`` for chaining.
         """
         for variant in variants:
             self.digest(variant)
@@ -346,18 +366,13 @@ class ServerCore:
                     )
                 else:
                     reconciler.warm_alice(self.points)
-        if "sharded" in variants and "sharded" in self._reconcilers:
-            # The encode above is cached; drop the engine's executor so no
-            # thread/process pool is inherited by forked workers (it is
-            # rebuilt lazily if a post-fork session ever needs it).
-            self._reconcilers["sharded"].close()
         return self
 
     def close(self) -> None:
-        """Release pooled engine resources (idempotent)."""
-        sharded = self._reconcilers.pop("sharded", None)
-        if sharded is not None:
-            sharded.close()
+        """Drop the per-variant engines and encoded payloads (idempotent);
+        they are rebuilt on demand."""
+        self._reconcilers.clear()
+        self._encoded.clear()
 
 
 class ReconciliationServer:
@@ -376,11 +391,10 @@ class ReconciliationServer:
     surface builds a private :class:`ServerCore`; a pre-fork worker
     instead receives ``core=`` (the parent's warmed, copy-on-write-shared
     core) and must not pass config/points.  Pool-specific knobs —
-    ``sock`` (an already-bound listen socket), ``reuse_port``
-    (SO_REUSEPORT bind), ``worker_index`` (stamped into welcome frames)
-    and ``on_session`` (per-session stats callback for aggregation) — all
-    default to off, leaving single-process behaviour byte-identical
-    to earlier releases.
+    ``sock`` (an already-bound listen socket), ``worker_index`` (stamped
+    into welcome frames) and ``on_session`` (per-session stats callback
+    for aggregation) — all default to off, leaving single-process
+    behaviour byte-identical to earlier releases.
     """
 
     def __init__(
@@ -394,7 +408,6 @@ class ReconciliationServer:
         host: str = "127.0.0.1",
         port: int = 0,
         sock: socket.socket | None = None,
-        reuse_port: bool = False,
         max_sessions: int = 64,
         max_pending: int | None = None,
         retry_after_hint: float = 0.05,
@@ -413,7 +426,6 @@ class ReconciliationServer:
             core = ServerCore(
                 config, points, adaptive=adaptive, rateless=rateless
             )
-            self._owns_core = True
         else:
             if config is not None or points is not None:
                 raise ConfigError(
@@ -424,12 +436,10 @@ class ReconciliationServer:
                     "adaptive/rateless knobs live on the core when core= is "
                     "passed"
                 )
-            self._owns_core = False
         self.core = core
         self.host = host
         self.port = port
         self._sock = sock
-        self.reuse_port = reuse_port
         self.max_sessions = max_sessions
         #: Overload watermark: how many validated connections may *wait*
         #: for a session slot before further arrivals are shed with a
@@ -508,23 +518,16 @@ class ReconciliationServer:
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns ``(host, port)``.
 
-        Three bind modes: a fresh ``(host, port)`` bind (the default); an
-        already-bound ``sock`` handed down by a pre-fork parent (all
-        workers accept from one shared socket — the kernel wakes exactly
-        one on each connection under asyncio's accept loop); or
-        ``reuse_port=True``, binding a per-worker socket to the same
-        address with ``SO_REUSEPORT`` so the kernel load-balances accepts
-        across workers without a shared-socket thundering herd.
+        Either a fresh ``(host, port)`` bind (the default), or an
+        already-bound ``sock`` handed down by a pre-fork parent (see
+        :class:`~repro.serve.pool.WorkerPoolServer` for how it shares or
+        ``SO_REUSEPORT``-binds those sockets).
         """
         if self._server is not None:
             raise SessionError("server already started")
         if self._sock is not None:
             self._server = await asyncio.start_server(
                 self._handle, sock=self._sock
-            )
-        elif self.reuse_port:
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port, reuse_port=True
             )
         else:
             self._server = await asyncio.start_server(
@@ -540,11 +543,10 @@ class ReconciliationServer:
         return self.host, self.port
 
     async def close(self) -> None:
-        """Stop accepting, drain in-flight sessions, release engines.
+        """Stop accepting and drain in-flight sessions.
 
         Handler tasks are awaited explicitly: ``Server.wait_closed()``
-        does not cover per-connection handlers before Python 3.12.1, and
-        the shared sharded executor must not be torn down under one.
+        does not cover per-connection handlers before Python 3.12.1.
         """
         if self._server is not None:
             self._server.close()
@@ -553,11 +555,6 @@ class ReconciliationServer:
         pending = [task for task in self._handlers if not task.done()]
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-        if self._owns_core:
-            # A core passed in (pool worker, differential test) is owned
-            # by whoever built it; closing it here would tear a shared
-            # executor out from under sibling servers.
-            self.core.close()
 
     async def __aenter__(self) -> "ReconciliationServer":
         await self.start()
@@ -729,22 +726,7 @@ class ReconciliationServer:
             if record:
                 async with self._finished:
                     self.stats.append(stats)
-                    self._totals["sessions"] += 1
-                    if stats.shed:
-                        self._totals["shed"] += 1
-                    if stats.resumed_from is not None and not stats.shed:
-                        self._totals["resumed"] += 1
-                    if stats.ok:
-                        self._totals["ok"] += 1
-                        if stats.transcript is not None:
-                            self._totals["bytes_out"] += (
-                                stats.transcript.alice_to_bob_bytes
-                            )
-                            self._totals["bytes_in"] += (
-                                stats.transcript.bob_to_alice_bytes
-                            )
-                    else:
-                        self._totals["failed"] += 1
+                    tally(self._totals, stats.record())
                     self._finished.notify_all()
                 if self._on_session is not None:
                     # Aggregation hook: a pool worker streams each
@@ -857,10 +839,9 @@ class ReconciliationServer:
             recorder = SimulatedChannel()
             session = self._session_for(variant, start_index=start_index)
             try:
-                with session:
-                    await self._pump_with_deadline(
-                        session, reader, writer, recorder
-                    )
+                await self._pump_with_deadline(
+                    session, reader, writer, recorder
+                )
             finally:
                 if resume_entry is not None:
                     # Even a failed pump advances the watermark: whatever
@@ -905,10 +886,8 @@ async def sync(
     retry-after hint.
 
     ``reconciler`` lets a caller syncing repeatedly with one config reuse
-    the variant's engine (grid construction, shard executors) across
-    calls instead of rebuilding it per sync; it must match ``config`` and
-    ``variant``.  A sharded reconciler passed in stays owned by the
-    caller — this function never closes it.
+    the variant's engine (grid construction) across calls instead of
+    rebuilding it per sync; it must match ``config`` and ``variant``.
 
     ``resume`` (rateless only) carries Bob's peel state across calls: a
     sync that dies mid-stream leaves the increments it already fed in
@@ -969,10 +948,9 @@ async def sync(
         if reconciler is not None:
             kwargs["reconciler"] = reconciler
         session = make_session(variant, "bob", config, points, **kwargs)
-        with session:
-            result = await pump_stream(
-                session, reader, writer, channel=recorder, timeout=timeout
-            )
+        result = await pump_stream(
+            session, reader, writer, channel=recorder, timeout=timeout
+        )
     except ConnectionError as exc:
         raise SessionError(
             f"connection to {host}:{port} lost mid-session: {exc}"

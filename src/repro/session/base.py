@@ -165,15 +165,6 @@ class Session(abc.ABC):
             return self.inbound_labels[index]
         return "message"
 
-    def close(self) -> None:
-        """Release any resources the session owns (idempotent; optional)."""
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ---------------------------------------------------------- subclasses
 
     def _start(self) -> SessionOutput:

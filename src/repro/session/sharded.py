@@ -2,9 +2,8 @@
 
 Wire-wise the sharded exchange has the one-round shape — Alice speaks one
 (shard-framed) message, Bob repairs — so a single class covers both roles.
-The session owns its :class:`~repro.scale.engine.ShardedReconciler` (and
-therefore an executor pool) unless one is injected, and releases it via
-``close()`` / context-manager exit.
+The :class:`~repro.scale.engine.ShardedReconciler` may be injected to share
+its grid; it holds no resources, so there is nothing to release.
 """
 
 from __future__ import annotations
@@ -40,15 +39,9 @@ class ShardedSession(Session):
         self.inbound_labels = () if role == "alice" else (SHARDED_LABEL,)
         self._points = points
         self._strategy = strategy
-        self._owns_reconciler = reconciler is None
         self._reconciler = reconciler or ShardedReconciler(config)
         # Optional pre-encoded Alice payload (see OneRoundAliceSession).
         self._encoded = encoded
-
-    def close(self) -> None:
-        """Release the executor pool when this session created it."""
-        if self._owns_reconciler:
-            self._reconciler.close()
 
     def _start(self) -> SessionOutput:
         if self.role != "alice":

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import reconcile
+from repro.scale import engine as sharded_engine
 from repro.scale import reconcile_sharded
 from repro.workloads.synthetic import perturbed_pair
 
@@ -39,6 +40,7 @@ def _load(path):
 @pytest.mark.parametrize("shards", [2, 4])
 def test_golden_workloads_shard_equivalence(path, shards):
     alice, bob, config_kwargs = _load(path)
+    config_kwargs.pop("shards", None)  # the sharded fixture's own count
     unsharded = reconcile(alice, bob, ProtocolConfig(**config_kwargs))
     sharded = reconcile_sharded(
         alice, bob, ProtocolConfig(shards=shards, **config_kwargs)
@@ -84,7 +86,7 @@ def test_property_sharded_repair_is_count_balanced(alice, bob, shards):
         assert sorted(sharded.repaired) == sorted(unsharded.repaired)
 
 
-def test_property_noise_free_workloads_repair_exactly():
+def test_property_noise_free_workloads_repair_exactly(monkeypatch):
     """A seeded sweep: every run is count-balanced, and at most 1% of runs
     miss an exact repair.
 
@@ -93,13 +95,14 @@ def test_property_noise_free_workloads_repair_exactly():
     level 0 and repair at a coarser level (seed 98 with 4 shards does,
     once in this sweep).
     """
+    # One worker: the 900 tiny runs stay inline instead of opening pools.
+    monkeypatch.setattr(sharded_engine, "cpu_count", lambda: 1)
     runs = inexact = 0
     for seed in range(300):
         w = perturbed_pair(seed, 80, 1024, 2, 5, 0, noise_model="none")
         for shards in (2, 3, 4):
             config = ProtocolConfig(
                 delta=w.delta, dimension=2, k=20, seed=1, shards=shards,
-                executor="serial",
             )
             result = reconcile_sharded(w.alice, w.bob, config)
             assert len(result.repaired) == len(w.alice), (seed, shards)

@@ -15,8 +15,8 @@ from repro.scale import (
     SpacePartitioner,
     reconcile_sharded,
 )
+from repro.scale import engine as sharded_engine
 from repro.scale.engine import SHARD_MAGIC, SHARD_VERSION, shard_protocol_config
-from repro.scale.executors import make_executor
 from repro.scale.partition import partition_level
 from repro.workloads.synthetic import perturbed_pair
 
@@ -130,11 +130,51 @@ class TestShardedReconciler:
         assert result.transcript.message_labels == ("sharded-sketch",)
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
-    def test_executors_agree(self, executor):
+    def test_executors_agree(self, executor, monkeypatch):
+        # Each way _fan_out can schedule the shards: inline at width 1,
+        # a thread pool for numpy, a fork pool for pure Python.
+        backend, width, pool_type = {
+            "serial": ("pure", 1, sharded_engine._Inline),
+            "thread": ("numpy", 2, sharded_engine.ThreadPoolExecutor),
+            "process": ("pure", 2, sharded_engine.ProcessPoolExecutor),
+        }[executor]
+        if backend == "numpy" and not HAVE_NUMPY:
+            pytest.skip("numpy unavailable")
+        if executor == "process" and not sharded_engine.fork_available():
+            pytest.skip("fork start method unavailable")
         w = _workload(noise=0)
-        config = _config(w, workers=2, executor=executor)
+        config = _config(w, backend=backend)
+        monkeypatch.setattr(sharded_engine, "cpu_count", lambda: width)
+        with sharded_engine._fan_out(config) as pool:
+            assert type(pool) is pool_type
         result = reconcile_sharded(w.alice, w.bob, config)
         assert sorted(result.repaired) == sorted(w.alice)
+
+    @pytest.mark.parametrize("backend", ["pure", "numpy"])
+    def test_fan_out_widths_agree(self, backend, monkeypatch):
+        # Width 1 runs the shards inline; width 4 opens a thread (numpy)
+        # or fork (pure) pool.  Scheduling must never reach the bytes.
+        if backend == "numpy" and not HAVE_NUMPY:
+            pytest.skip("numpy unavailable")
+        w = _workload(noise=2.0)
+        config = _config(w, k=8, backend=backend)
+        runs = []
+        for width in (1, 4):
+            monkeypatch.setattr(sharded_engine, "cpu_count", lambda: width)
+            with sharded_engine._fan_out(config) as pool:
+                inline = width == 1 or (
+                    backend == "pure" and not sharded_engine.fork_available()
+                )
+                assert isinstance(pool, sharded_engine._Inline) == inline
+            engine = ShardedReconciler(config)
+            payload = engine.encode(w.alice)
+            result = engine.decode_and_repair(payload, w.bob)
+            runs.append((
+                payload, result.repaired, result.shard_levels,
+                result.levels_probed,
+            ))
+        assert runs[0] == runs[1]
+        assert max(runs[0][2]) > 0  # a noisy decode: levels were probed
 
     def test_centroid_strategy(self):
         w = _workload(noise=2.0)
@@ -165,15 +205,15 @@ class TestShardedReconciler:
         if not HAVE_NUMPY:
             pytest.skip("numpy unavailable")
         w = _workload(noise=2.0)
-        with ShardedReconciler(_config(w, backend="pure")) as pure_engine, \
-                ShardedReconciler(_config(w, backend="numpy")) as fast_engine:
-            pure_payload = pure_engine.encode(w.alice)
-            fast_payload = fast_engine.encode(w.alice)
-            assert pure_payload == fast_payload
-            pure_result = pure_engine.decode_and_repair(pure_payload, w.bob)
-            fast_result = fast_engine.decode_and_repair(pure_payload, w.bob)
-            assert pure_result.shard_levels == fast_result.shard_levels
-            assert sorted(pure_result.repaired) == sorted(fast_result.repaired)
+        pure_engine = ShardedReconciler(_config(w, backend="pure"))
+        fast_engine = ShardedReconciler(_config(w, backend="numpy"))
+        pure_payload = pure_engine.encode(w.alice)
+        fast_payload = fast_engine.encode(w.alice)
+        assert pure_payload == fast_payload
+        pure_result = pure_engine.decode_and_repair(pure_payload, w.bob)
+        fast_result = fast_engine.decode_and_repair(pure_payload, w.bob)
+        assert pure_result.shard_levels == fast_result.shard_levels
+        assert sorted(pure_result.repaired) == sorted(fast_result.repaired)
 
     @pytest.mark.parametrize("backend", ["pure", "numpy"])
     def test_unknown_strategy_rejected_on_every_backend(self, backend):
@@ -189,11 +229,10 @@ class TestShardedReconciler:
 
     def test_mismatched_shard_count_rejected(self):
         w = _workload(noise=0)
-        with ShardedReconciler(_config(w, shards=4)) as four:
-            payload = four.encode(w.alice)
-        with ShardedReconciler(_config(w, shards=2)) as two:
-            with pytest.raises(SerializationError):
-                two.decode_and_repair(payload, w.bob)
+        payload = ShardedReconciler(_config(w, shards=4)).encode(w.alice)
+        two = ShardedReconciler(_config(w, shards=2))
+        with pytest.raises(SerializationError):
+            two.decode_and_repair(payload, w.bob)
 
 
 # --------------------------------------------------------------------- wire
@@ -319,8 +358,7 @@ class TestShardedIncremental:
         config = _config(w)
         sketch = ShardedIncrementalSketch(config)
         sketch.insert_all(w.alice)
-        with ShardedReconciler(config) as engine:
-            assert sketch.encode() == engine.encode(w.alice)
+        assert sketch.encode() == ShardedReconciler(config).encode(w.alice)
 
     def test_point_updates_stay_bit_identical(self):
         w = _workload(noise=0, n=120)
@@ -332,8 +370,7 @@ class TestShardedIncremental:
             sketch.insert(point)
         sketch.remove(w.alice[0])
         final = [p for p in w.alice[1:]] + extra
-        with ShardedReconciler(config) as engine:
-            assert sketch.encode() == engine.encode(final)
+        assert sketch.encode() == ShardedReconciler(config).encode(final)
 
     def test_update_touches_one_shard(self):
         w = _workload(noise=0, n=200)
@@ -353,34 +390,9 @@ class TestShardedIncremental:
         config = _config(w)
         sketch = ShardedIncrementalSketch(config)
         sketch.insert_all(w.alice)
-        with ShardedReconciler(config) as engine:
-            result = engine.decode_and_repair(sketch.encode(), w.bob)
+        engine = ShardedReconciler(config)
+        result = engine.decode_and_repair(sketch.encode(), w.bob)
         assert sorted(result.repaired) == sorted(w.alice)
-
-
-# ---------------------------------------------------------------- executors
-
-
-class TestExecutors:
-    def test_make_serial(self):
-        executor = make_executor("serial", None, 4)
-        assert executor.map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-        executor.close()
-
-    def test_make_thread_preserves_order(self):
-        with make_executor("thread", 2, 4) as executor:
-            assert executor.kind in ("thread", "serial")
-            assert executor.map(lambda x: -x, list(range(10))) == [
-                -x for x in range(10)
-            ]
-
-    def test_auto_resolves(self):
-        with make_executor("auto", None, 4, "pure") as executor:
-            assert executor.kind in ("serial", "thread", "process")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            make_executor("gpu", None, 4)
 
 
 # ------------------------------------------------------------------- config
@@ -390,14 +402,6 @@ class TestConfigKnobs:
     def test_shards_validated(self):
         with pytest.raises(ConfigError):
             ProtocolConfig(delta=256, dimension=1, k=2, shards=0)
-
-    def test_workers_validated(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(delta=256, dimension=1, k=2, workers=0)
-
-    def test_executor_validated(self):
-        with pytest.raises(ConfigError):
-            ProtocolConfig(delta=256, dimension=1, k=2, executor="quantum")
 
     def test_empty_levels_rejected(self):
         with pytest.raises(ConfigError):

@@ -22,8 +22,7 @@ from repro.core.config import ProtocolConfig
 from repro.core.protocol import reconcile
 from repro.core.rateless import reconcile_rateless
 from repro.net.channel import LoopbackChannel, SimulatedChannel
-from repro.scale.engine import reconcile_sharded
-from repro.scale.executors import fork_available
+from repro.scale.engine import fork_available, reconcile_sharded
 from repro.serve import ReconciliationServer, WorkerPoolServer, sync
 from repro.session import make_session, run_async
 from repro.workloads.synthetic import perturbed_pair
@@ -91,11 +90,11 @@ class TestTransportDifferential:
 
         async def over_loopback():
             channel = LoopbackChannel()
-            with make_session(variant, "alice", config, workload.alice) as alice, \
-                    make_session(variant, "bob", config, workload.bob) as bob:
-                _, result = await asyncio.gather(
-                    run_async(alice, channel), run_async(bob, channel)
-                )
+            alice = make_session(variant, "alice", config, workload.alice)
+            bob = make_session(variant, "bob", config, workload.bob)
+            _, result = await asyncio.gather(
+                run_async(alice, channel), run_async(bob, channel)
+            )
             return result, channel
 
         result, loopback_channel = asyncio.run(over_loopback())

@@ -124,7 +124,6 @@ class TestHandshakeParsing:
         assert handshake.config_digest(base) == handshake.config_digest(
             ProtocolConfig(
                 delta=DELTA, dimension=2, k=6, seed=9, backend="pure",
-                executor="serial", workers=2,
             )
         ), "private knobs must not change the digest"
         assert handshake.config_digest(base) != handshake.config_digest(

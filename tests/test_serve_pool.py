@@ -28,7 +28,7 @@ from repro.core.rateless import RatelessConfig, reconcile_rateless
 from repro.errors import ConfigError, ServerOverloadedError, SessionError
 from repro.iblt.decode import PeelState
 from repro.net.channel import SimulatedChannel
-from repro.scale.executors import fork_available
+from repro.scale.engine import fork_available
 from repro.serve import (
     RESET,
     RETRY,
@@ -201,17 +201,16 @@ class TestGracefulShutdown:
                     "rateless", "bob", CONFIG, list(workload.bob),
                     rateless=RATELESS,
                 )
-                with session:
-                    for message in outbound_messages(session.start()):
+                for message in outbound_messages(session.start()):
+                    await write_frame(writer, message.payload)
+                output = session.feed(first)
+                while True:
+                    for message in outbound_messages(output):
                         await write_frame(writer, message.payload)
-                    output = session.feed(first)
-                    while True:
-                        for message in outbound_messages(output):
-                            await write_frame(writer, message.payload)
-                        if session.done:
-                            break
-                        output = session.feed(await read_frame(reader))
-                    result = session.result
+                    if session.done:
+                        break
+                    output = session.feed(await read_frame(reader))
+                result = session.result
                 writer.close()
                 assert sorted(result.repaired) == expected
                 # Drained workers exit 0 and are not reforked.

@@ -147,9 +147,9 @@ class TestStateMachine:
         config = _config(shards=2)
         for variant in ("one-round", "adaptive", "sharded", "rateless"):
             for role in ("alice", "bob"):
-                with make_session(variant, role, config, [(1, 1)]) as session:
-                    assert session.variant == variant
-                    assert session.role == role
+                session = make_session(variant, role, config, [(1, 1)])
+                assert session.variant == variant
+                assert session.role == role
 
 
 class _LabelProbe(Session):
@@ -320,9 +320,9 @@ class TestPumpParity:
         config = _config(seed=4, shards=2)
         direct = reconcile_sharded(workload.alice, workload.bob, config)
         channel = SimulatedChannel()
-        with ShardedSession(config, workload.alice, role="alice") as alice, \
-                ShardedSession(config, workload.bob, role="bob") as bob:
-            _, result = pump(alice, bob, channel)
+        alice = ShardedSession(config, workload.alice, role="alice")
+        bob = ShardedSession(config, workload.bob, role="bob")
+        _, result = pump(alice, bob, channel)
         assert sorted(result.repaired) == sorted(direct.repaired)
         assert channel.total_bits == direct.transcript.total_bits
 

@@ -32,6 +32,7 @@ from repro.iblt.strata import StrataConfig, StrataEstimator
 from repro.iblt.table import IBLT, IBLTConfig
 from repro.net import codec
 from repro.net.bits import BitReader, BitWriter
+from repro.scale import engine as sharded_engine
 from repro.scale.engine import ShardedReconciler
 
 BACKENDS = available_backends()
@@ -234,16 +235,16 @@ def test_strata_estimator_identical(backend, q, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sharded_frame_identical(seed):
+def test_sharded_frame_identical(seed, monkeypatch):
+    # One worker runs the shards inline, in the process whose codec
+    # _both_ways swaps.
+    monkeypatch.setattr(sharded_engine, "cpu_count", lambda: 1)
     rng = random.Random(seed)
     points = [(rng.randrange(2048), rng.randrange(2048)) for _ in range(300)]
-    config = ProtocolConfig(
-        delta=2048, dimension=2, k=8, seed=seed, shards=4, executor="serial"
-    )
+    config = ProtocolConfig(delta=2048, dimension=2, k=8, seed=seed, shards=4)
 
     def produce():
-        with ShardedReconciler(config) as engine:
-            return engine.encode(points)
+        return ShardedReconciler(config).encode(points)
 
     fast, reference = _both_ways(produce)
     assert fast == reference
