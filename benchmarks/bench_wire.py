@@ -9,9 +9,10 @@ bytes (asserted on every measured payload).
 Two entry points:
 
 ``test_wire_codec_smoke``
-    Small, CI-sized run.  **Fails if the vectorized codec is slower than
-    the scalar path on the numpy backend** — the regression tripwire the
-    CI ``bench-wire-smoke`` job relies on.  Writes
+    Small, CI-sized run over a subtracted table and a one-round hierarchy
+    sketch.  **Fails if the vectorized codec is slower than the scalar
+    path on the numpy backend** for either payload — the regression
+    tripwire the CI ``bench-wire-smoke`` job relies on.  Writes
     ``benchmarks/results/b5_wire_smoke.json``.
 
 ``test_wire_codec_full``
@@ -46,6 +47,7 @@ Q = 4
 FULL_SIZES = (20_000, 50_000)
 SMOKE_SIZE = 2_000
 SKETCH_N = 20_000
+SMOKE_SKETCH_N = 4_000
 TIMING_ROUNDS = 3  # best-of-N, same discipline for both codec paths
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -134,10 +136,12 @@ def _measure_table(diff_size: int, backend: str) -> dict:
     }
 
 
-def _measure_sketch(backend: str) -> dict:
-    """The one-round hierarchy sketch: dense per-cell counts (multi-group
-    varints), many levels — the serve layer's Alice-side payload."""
-    workload = perturbed_pair(0, SKETCH_N, 2**16, 2, 16, 3.0)
+def _measure_sketch(backend: str, n_points: int = SKETCH_N) -> dict:
+    """The one-round hierarchy sketch: one fixed-width cell blob per level,
+    with each level's count width fixed by its largest count.  The parse
+    timing unpacks every level (a sync unpacks only the probed ones), so
+    it measures the whole layout, not just the header check."""
+    workload = perturbed_pair(0, n_points, 2**16, 2, 16, 3.0)
     config = ProtocolConfig(
         delta=2**16, dimension=2, k=32, seed=0, backend=backend
     )
@@ -149,7 +153,10 @@ def _measure_sketch(backend: str) -> dict:
     payload, write_vec_s, write_ref_s = _timed_both(sketch.to_bytes)
 
     def parse():
-        return HierarchySketch.from_bytes(payload, config, reconciler.grid)
+        parsed = HierarchySketch.from_bytes(payload, config, reconciler.grid)
+        for level in parsed.levels:
+            level.table
+        return parsed
 
     _, read_vec_s, read_ref_s = _timed_both(
         parse, canon=lambda parsed: parsed.to_bytes()
@@ -158,7 +165,7 @@ def _measure_sketch(backend: str) -> dict:
     return {
         "payload": "hierarchy-sketch",
         "backend": backend,
-        "n_points": SKETCH_N,
+        "n_points": n_points,
         "levels": len(sketch.levels),
         "payload_bytes": len(payload),
         "write_vector_ms": round(1000 * write_vec_s, 3),
@@ -200,21 +207,29 @@ def test_wire_codec_smoke(benchmark, emit, emit_json):
     backends = available_backends()
 
     def run():
-        return [_measure_table(SMOKE_SIZE, backend) for backend in backends]
+        return [
+            _measure_table(SMOKE_SIZE, backend) for backend in backends
+        ] + [_measure_sketch(backend, SMOKE_SKETCH_N) for backend in backends]
 
     runs = benchmark.pedantic(run, rounds=1, iterations=1, warmup_rounds=0)
     emit("b5_wire_smoke", "B5 smoke: vectorized vs scalar wire codec\n"
          + _render(runs))
     emit_json(
         "b5_wire_smoke",
-        {"experiment": "b5_smoke", "smoke_size": SMOKE_SIZE, "runs": runs},
+        {
+            "experiment": "b5_smoke",
+            "smoke_size": SMOKE_SIZE,
+            "smoke_sketch_points": SMOKE_SKETCH_N,
+            "runs": runs,
+        },
     )
-    if "numpy" in backends:
-        vector = next(run for run in runs if run["backend"] == "numpy")
+    for vector in runs:
+        if vector["backend"] != "numpy":
+            continue
         assert vector["roundtrip_speedup"] >= 1.0, (
             f"perf regression: vectorized codec "
             f"({vector['roundtrip_speedup']:.2f}x) slower than the scalar "
-            f"reference on the numpy backend at diff={SMOKE_SIZE}"
+            f"reference on the numpy backend ({vector['payload']})"
         )
 
 

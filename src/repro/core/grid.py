@@ -398,6 +398,7 @@ class VectorKeyPass:
             raise ConfigError("VectorKeyPass requires numpy")
         self.grid = grid
         self._shifted = sorted_shifted  # (n, d) int64, lexsorted
+        self._shift = _np.asarray(grid.shift, dtype=_np.int64)
         #: Permutation mapping sorted order back to the caller's original
         #: point order (``None`` when the caller supplied pre-sorted data).
         self.order = order
@@ -412,12 +413,6 @@ class VectorKeyPass:
         """True when this level's packed keys fit int64 arithmetic."""
         return self.grid.key_bits(level) <= 63
 
-    def sorted_point(self, index: int) -> Point:
-        """The ``index``-th point in sorted order (shift removed)."""
-        shift = self.grid.shift
-        row = self._shifted[index]
-        return tuple(int(row[i]) - shift[i] for i in range(self.grid.dimension))
-
     def cell_keys(self, level: int) -> "_np.ndarray":
         """Packed cell id per point (sorted order), without occurrence bits."""
         cached = self._cell_keys.get(level)
@@ -428,13 +423,15 @@ class VectorKeyPass:
         self._cell_keys[level] = cell_key
         return cell_key
 
-    def cell_points(self, cell: Cell, level: int) -> list[Point]:
+    def cell_points(self, cell: Cell, level: int) -> Sequence[Point]:
         """One cell's points in sorted order, without bucketing every point.
 
-        Equals ``grid.bucket_points(points, level).get(cell, [])``: the
+        Reads as ``grid.bucket_points(points, level).get(cell, [])``: the
         level's cell ids are argsorted once (stably, so each cell's slice
         keeps the pass's coordinate order), then each cell costs a binary
-        search and a slice.
+        search and a slice.  Points become tuples only when read, since a
+        coarse cell can hold most of the multiset and a repair plan reads
+        only its top ranks.
         """
         grouped = self._by_cell.get(level)
         if grouped is None:
@@ -445,7 +442,7 @@ class VectorKeyPass:
         packed = self.grid.pack_key(cell, 0, level) >> self.grid.occupancy_bits
         lo = int(_np.searchsorted(sorted_cells, packed, side="left"))
         hi = int(_np.searchsorted(sorted_cells, packed, side="right"))
-        return [self.sorted_point(int(index)) for index in by_cell[lo:hi]]
+        return _Rows(self._shifted[by_cell[lo:hi]] - self._shift)
 
     def keys(self, level: int) -> "_np.ndarray":
         """Packed ``(cell, occurrence-rank)`` keys per point (sorted order)."""
@@ -471,3 +468,60 @@ class VectorKeyPass:
         keys = (cell_key << occ_bits) | ranks
         self._keys[level] = keys
         return keys
+
+
+class _Rows(Sequence):
+    """An ``(n, d)`` int64 block read as a sequence of point tuples."""
+
+    __slots__ = ("_block",)
+
+    def __init__(self, block: "_np.ndarray"):
+        self._block = block
+
+    def __len__(self) -> int:
+        return self._block.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [tuple(row) for row in self._block[index].tolist()]
+        return tuple(self._block[index].tolist())
+
+
+class ScalarKeyPass:
+    """Pure-Python stand-in for :class:`VectorKeyPass` where none is
+    possible (no numpy, points that are not a clean integer block, or keys
+    wider than 63 bits).
+
+    Each level's keys are hashed once, on first use, and :meth:`cell_points`
+    groups the points by those same keys, so Bob's level table and every
+    repair plan at that level share one hashing.
+    """
+
+    def __init__(self, grid: ShiftedGridHierarchy, points: Sequence[Point]):
+        self.grid = grid
+        self.points = points
+        self._sorted: list[Point] | None = None
+        self._keys: dict[int, Iterable[int]] = {}
+        self._by_cell: dict[int, dict[int, list[Point]]] = {}
+
+    def keys(self, level: int) -> Iterable[int]:
+        """Packed ``(cell, occurrence-rank)`` keys per point (sorted order)."""
+        keys = self._keys.get(level)
+        if keys is None:
+            keys = self._keys[level] = self.grid.keys_for(self.points, level)
+        return keys
+
+    def cell_points(self, cell: Cell, level: int) -> list[Point]:
+        """One cell's points in sorted order; equals
+        ``grid.bucket_points(points, level).get(cell, [])``."""
+        occ_bits = self.grid.occupancy_bits
+        by_cell = self._by_cell.get(level)
+        if by_cell is None:
+            if self._sorted is None:
+                # The keys follow the sorted shifted points, and a constant
+                # shift keeps the lexicographic order.
+                self._sorted = sorted(self.points)
+            by_cell = self._by_cell[level] = {}
+            for point, key in zip(self._sorted, self.keys(level)):
+                by_cell.setdefault(key >> occ_bits, []).append(point)
+        return by_cell.get(self.grid.pack_key(cell, 0, level) >> occ_bits, [])

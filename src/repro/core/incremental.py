@@ -265,7 +265,7 @@ class IncrementalSketch:
         """Live per-level tables, finest first.
 
         The tables are this sketch's working state, not copies — callers
-        (e.g. the sharded wire codec) must treat them as read-only.
+        (e.g. the snapshot codec) must treat them as read-only.
         """
         return [
             LevelSketch(level, self._tables[level])
@@ -274,11 +274,4 @@ class IncrementalSketch:
 
     def encode(self) -> bytes:
         """The current one-round message (bit-identical to a fresh encode)."""
-        sketch = HierarchySketch(
-            n_points=self.n_points,
-            levels=[
-                LevelSketch(level, self._tables[level].copy())
-                for level in self.config.sketch_levels
-            ],
-        )
-        return sketch.to_bytes()
+        return HierarchySketch(self.n_points, self.level_sketches()).to_bytes()

@@ -22,13 +22,14 @@ hashes rather than ``O(n log Δ)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
 from repro.core.config import ProtocolConfig
-from repro.core.grid import ShiftedGridHierarchy, VectorKeyPass
+from repro.core.grid import ScalarKeyPass, ShiftedGridHierarchy, VectorKeyPass
 from repro.core.repair import RepairPlan, apply_repair, plan_repair
 from repro.core.sketch import (
     HierarchySketch,
+    LevelSketch,
     build_level_sketches,
     level_iblt_config,
 )
@@ -38,6 +39,8 @@ from repro.iblt.decode import DecodeResult, decode
 from repro.iblt.table import IBLT
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
+
+Accepted = TypeVar("Accepted")
 
 
 @dataclass
@@ -93,7 +96,7 @@ class HierarchicalReconciler:
         points: list[Point],
         level: int,
         cells: int | None = None,
-        key_pass: VectorKeyPass | None = None,
+        key_pass: VectorKeyPass | ScalarKeyPass | None = None,
     ) -> IBLT:
         """Build one level's IBLT over a point multiset.
 
@@ -153,27 +156,33 @@ class HierarchicalReconciler:
     ) -> ReconcileResult:
         """:meth:`decode_and_repair` over an already parsed sketch.
 
-        Bob's keys come from one :meth:`ShiftedGridHierarchy.vector_key_pass`
-        shared by every probed level and the repair planner, or are hashed
-        per level where no pass is possible.
+        Bob's keys come from one key pass shared by every probed level and
+        the repair planner: :meth:`ShiftedGridHierarchy.vector_key_pass`,
+        or a :class:`ScalarKeyPass` where no vector pass is possible.
+        Alice's level tables are unpacked only where the search probes.
+        Every level that peels is planned at once, so a peel naming a point
+        Bob does not hold leaves the search going; the chosen level's plan
+        is the repair.
         """
-        alice_tables = {
-            level_sketch.level: level_sketch.table for level_sketch in sketch.levels
+        alice_levels = {
+            level_sketch.level: level_sketch for level_sketch in sketch.levels
         }
-        key_pass = self.grid.vector_key_pass(bob_points, tuple(alice_tables))
-        level, result, probed = probe_levels(
-            alice_tables,
+        key_pass = self.grid.vector_key_pass(bob_points, tuple(alice_levels))
+        if key_pass is None:
+            key_pass = ScalarKeyPass(self.grid, bob_points)
+        level, result, plan, probed = probe_levels(
+            alice_levels,
             lambda level, alice_table: self.level_table(
                 bob_points, level, alice_table.config.cells, key_pass
+            ),
+            lambda level, result: plan_repair(
+                bob_points, result.alice_keys, result.bob_keys,
+                self.grid, level, strategy, key_pass,
             ),
             sketch.n_points,
             len(bob_points),
             self.config,
             probe,
-        )
-        plan = plan_repair(
-            bob_points, result.alice_keys, result.bob_keys,
-            self.grid, level, strategy, key_pass,
         )
         return ReconcileResult(
             repaired=apply_repair(bob_points, plan),
@@ -186,20 +195,26 @@ class HierarchicalReconciler:
 
 
 def probe_levels(
-    alice_tables: dict[int, IBLT],
+    alice_levels: dict[int, LevelSketch],
     bob_table: Callable[[int, IBLT], IBLT],
+    accept: Callable[[int, DecodeResult], Accepted],
     n_alice: int,
     n_bob: int,
     config: ProtocolConfig,
     probe: str = "binary",
-) -> tuple[int, DecodeResult, list[int]]:
+) -> tuple[int, DecodeResult, Accepted, list[int]]:
     """Find the finest level of Alice's sketch that decodes against Bob's.
 
     The one level-probe loop every hierarchy decoder shares.  Each probed
-    level subtracts ``bob_table(level, alice_table)`` from Alice's table,
-    peels it, and rejects a peel whose surplus counts disagree with the
-    point counts (a checksum-evading false decode).  Returns ``(level,
-    result, levels_probed)``, probed levels in probe order.
+    level unpacks Alice's table, subtracts ``bob_table(level,
+    alice_table)`` from it and peels the result; levels never probed stay
+    packed.  A peel counts as a false decode, and its level as
+    undecodable, when its surplus counts disagree with the point counts or
+    ``accept(level, result)`` raises :class:`ReconciliationFailure` (a
+    checksum-evading wrong key, e.g. one :func:`plan_repair` refuses).
+    Returns ``(level, result, accepted, levels_probed)``: ``accepted`` is
+    what ``accept`` returned for the chosen level, probed levels are in
+    probe order.
 
     Raises
     ------
@@ -209,16 +224,17 @@ def probe_levels(
     """
     if probe not in ("binary", "linear"):
         raise ReconciliationFailure(f"unknown probe mode {probe!r}")
-    levels = sorted(alice_tables)
+    levels = sorted(alice_levels)
     if not levels:
         raise ReconciliationFailure("hierarchy sketch carries no levels")
     probed: list[int] = []
     outcomes: dict[int, DecodeResult] = {}
+    accepted: dict[int, Accepted] = {}
 
     def attempt(level: int) -> DecodeResult:
         if level not in outcomes:
             probed.append(level)
-            alice_table = alice_tables[level]
+            alice_table = alice_levels[level].table
             result = decode(
                 alice_table.subtract(bob_table(level, alice_table)),
                 max_items=config.decode_item_limit,
@@ -226,6 +242,11 @@ def probe_levels(
             surplus = len(result.alice_keys) - len(result.bob_keys)
             if result.success and surplus != n_alice - n_bob:
                 result.success = False  # checksum-evading false decode
+            if result.success:
+                try:
+                    accepted[level] = accept(level, result)
+                except ReconciliationFailure:
+                    result.success = False  # decoded a key Bob cannot hold
             outcomes[level] = result
         return outcomes[level]
 
@@ -235,7 +256,7 @@ def probe_levels(
             f"no level of the hierarchy sketch decoded "
             f"(difference exceeds budget k={config.k}?)"
         )
-    return chosen, outcomes[chosen], probed
+    return chosen, outcomes[chosen], accepted[chosen], probed
 
 
 def _finest_decodable(levels, attempt, probe: str) -> int | None:

@@ -28,7 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.grid import Cell, ShiftedGridHierarchy, VectorKeyPass
+from repro.core.grid import (
+    Cell,
+    ScalarKeyPass,
+    ShiftedGridHierarchy,
+    VectorKeyPass,
+)
 from repro.emd.metrics import Point, distance
 from repro.errors import ConfigError, ReconciliationFailure
 
@@ -69,14 +74,15 @@ def plan_repair(
     grid: ShiftedGridHierarchy,
     level: int,
     strategy: str = "occurrence",
-    key_pass: VectorKeyPass | None = None,
+    key_pass: VectorKeyPass | ScalarKeyPass | None = None,
 ) -> RepairPlan:
     """Build the edit script for Bob's set from the decoded key difference.
 
-    With ``key_pass`` (Bob's :class:`~repro.core.grid.VectorKeyPass`) only
-    the decoded surplus cells are looked up; without one — the no-numpy
-    path — every point is bucketed at ``level``.  Both see each cell's
-    points in the same sorted order, so they pick the same victims.
+    With ``key_pass`` (Bob's :class:`~repro.core.grid.VectorKeyPass` or
+    :class:`~repro.core.grid.ScalarKeyPass`) only the decoded surplus cells
+    are looked up; without one every point is bucketed at ``level``.  All
+    see each cell's points in the same sorted order, so they pick the same
+    victims.
 
     Raises
     ------

@@ -1,18 +1,29 @@
 """Wire format of the hierarchy sketch (the protocol's one message).
 
 A :class:`HierarchySketch` is Alice's entire transmission in the one-round
-protocol: one IBLT per grid level, finest first, preceded by a small header.
-The per-level IBLT configs are *derived* from the shared
-:class:`~repro.core.config.ProtocolConfig` (public coins), so only cell
-contents travel.
+protocol (and, per shard, in the sharded one): one IBLT per grid level,
+finest first, preceded by a small header.  The per-level IBLT configs are
+*derived* from the shared :class:`~repro.core.config.ProtocolConfig`
+(public coins), so only cell contents travel.
 
-Header layout::
+Layout (every field byte-aligned)::
 
-    magic     8 bits   (0xR5 = 0xB5)
-    version   8 bits
-    n_points  varint   (|S_A|; lets the receiver check count balance)
-    n_levels  varint
-    then per level: level id (varint) followed by the level's IBLT cells.
+    magic        8 bits   (0xB5)
+    version      8 bits   (2)
+    n_points     varint   (|S_A|; lets the receiver check count balance)
+    n_levels     varint
+    per level:
+        level id     varint
+        count width  8 bits   (1..63: bit length of the level's largest
+                              zigzag-mapped cell count)
+        cells        length-prefixed bytes: the fixed-width cell blob of
+                     :func:`repro.net.codec.encode_cells_fixed`
+
+Each cell spends exactly ``count_width + key_bits + checksum_bits`` bits,
+so a level's blob length is fixed by its header.  :meth:`HierarchySketch.
+from_bytes` checks every header and blob length up front, then keeps the
+blobs packed: a level's cells are unpacked the first time its table is
+used, so Bob unpacks only the levels the level search probes.
 """
 
 from __future__ import annotations
@@ -25,9 +36,17 @@ from repro.errors import ConfigError, SerializationError
 from repro.iblt.hashing import hash_with_salt
 from repro.iblt.table import IBLT, IBLTConfig
 from repro.net.bits import BitReader, BitWriter
+from repro.net.codec import (
+    decode_cells_fixed,
+    encode_cells_fixed,
+    fixed_count_width,
+)
 
 MAGIC = 0xB5
-VERSION = 1
+VERSION = 2
+
+#: Widest count field the fixed-width codec packs natively.
+MAX_COUNT_WIDTH = 63
 
 
 def level_iblt_config(
@@ -50,12 +69,51 @@ def level_iblt_config(
     )
 
 
-@dataclass
 class LevelSketch:
-    """One grid level's IBLT."""
+    """One grid level's IBLT.
 
-    level: int
-    table: IBLT
+    Built ones hold their table.  Parsed ones hold the level's count width
+    and cell blob until :attr:`table` is first read, which unpacks them.
+    """
+
+    __slots__ = ("level", "_table", "_packed")
+
+    def __init__(self, level: int, table: IBLT | None = None, packed=None):
+        self.level = level
+        self._table = table
+        #: ``(config, count_width, blob, backend)`` until unpacked.
+        self._packed = packed
+
+    @property
+    def table(self) -> IBLT:
+        """The level's IBLT, unpacked from its blob on first use."""
+        if self._table is None:
+            config, width, blob, backend = self._packed
+            self._table = IBLT.from_columns(
+                config,
+                *decode_cells_fixed(
+                    blob, config.cells, width, config.key_bits,
+                    config.checksum_bits,
+                ),
+                backend=backend,
+            )
+            self._packed = None
+        return self._table
+
+    def wire_fields(self) -> tuple[int, bytes]:
+        """``(count width, cell blob)`` encoded from the table."""
+        counts, key_sums, check_sums = self.table.rows_arrays()
+        width = fixed_count_width(counts)
+        if width > MAX_COUNT_WIDTH:
+            raise SerializationError(
+                f"level {self.level} counts need {width} bits, "
+                f"the sketch carries at most {MAX_COUNT_WIDTH}"
+            )
+        config = self.table.config
+        return width, encode_cells_fixed(
+            counts, key_sums, check_sums,
+            width, config.key_bits, config.checksum_bits,
+        )
 
 
 def build_level_sketches(
@@ -95,15 +153,17 @@ class HierarchySketch:
     levels: list[LevelSketch]
 
     def to_bytes(self) -> bytes:
-        """Serialise header + all level tables."""
+        """Serialise header + every level's width and cell blob."""
         writer = BitWriter()
         writer.write_uint(MAGIC, 8)
         writer.write_uint(VERSION, 8)
         writer.write_varint(self.n_points)
         writer.write_varint(len(self.levels))
         for sketch in self.levels:
+            width, blob = sketch.wire_fields()
             writer.write_varint(sketch.level)
-            sketch.table.write_to(writer)
+            writer.write_uint(width, 8)
+            writer.write_bytes(blob)
         return writer.getvalue()
 
     @classmethod
@@ -113,7 +173,13 @@ class HierarchySketch:
         config: ProtocolConfig,
         grid: ShiftedGridHierarchy,
     ) -> "HierarchySketch":
-        """Deserialise and re-derive each level's IBLT config."""
+        """Validate every header and blob length; unpack no cells.
+
+        Each level's IBLT config is re-derived from the public coins, and
+        its blob must hold exactly ``ceil(cells * (count_width + key_bits +
+        checksum_bits) / 8)`` bytes.  The tables are unpacked lazily (see
+        :class:`LevelSketch`).
+        """
         reader = BitReader(data)
         if reader.read_uint(8) != MAGIC:
             raise SerializationError("bad magic byte; not a hierarchy sketch")
@@ -139,12 +205,23 @@ class HierarchySketch:
                     f"sketch carries level {level} twice"
                 )
             seen_levels.add(level)
-            table_config = level_iblt_config(config, grid, level)
-            levels.append(
-                LevelSketch(
-                    level,
-                    IBLT.read_from(reader, table_config, backend=config.backend),
+            width = reader.read_uint(8)
+            if not 1 <= width <= MAX_COUNT_WIDTH:
+                raise SerializationError(
+                    f"level {level} count width {width} is outside "
+                    f"[1, {MAX_COUNT_WIDTH}]"
                 )
-            )
+            blob = reader.read_bytes()
+            table_config = level_iblt_config(config, grid, level)
+            stride = width + table_config.key_bits + table_config.checksum_bits
+            expected = (table_config.cells * stride + 7) // 8
+            if len(blob) != expected:
+                raise SerializationError(
+                    f"level {level} cell blob holds {len(blob)} bytes, "
+                    f"{table_config.cells} cells need {expected}"
+                )
+            levels.append(LevelSketch(
+                level, packed=(table_config, width, blob, config.backend)
+            ))
         reader.expect_end()
         return cls(n_points=n_points, levels=levels)

@@ -200,7 +200,7 @@ class StrataEstimator:
     # ------------------------------------------------------------------ wire
 
     def write_to(self, writer: BitWriter) -> None:
-        """Serialise every stratum's table (the v1 cell layout has no
+        """Serialise every stratum's table (the varint cell layout has no
         per-table header, so the whole stack is one codec call)."""
         write_cells(
             writer, *self.cell_columns(),

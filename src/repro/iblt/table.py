@@ -32,6 +32,7 @@ occurrence-indexed cell keys; the exact baselines insert set elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.errors import ConfigError, SerializationError
 from repro.iblt.backends import Backend, resolve_backend
@@ -110,8 +111,14 @@ class IBLTConfig:
         return int(self.cells * threshold * DEFAULT_SAFETY)
 
     def hash_family(self) -> HashFamily:
-        """The cell-index hash family implied by this config."""
-        return HashFamily(self.q, self.cells, self.seed)
+        """The cell-index hash family implied by this config (shared: every
+        table, subtraction and copy of one shape reuses one family)."""
+        return _hash_family(self.q, self.cells, self.seed)
+
+
+@lru_cache(maxsize=1024)
+def _hash_family(q: int, cells: int, seed: int) -> HashFamily:
+    return HashFamily(q, cells, seed)
 
 
 def _materialize(keys):

@@ -1,25 +1,26 @@
 """The shared wire codec for IBLT cell payloads — vectorized, bit-identical.
 
-Every sketch payload in this library serialises IBLT cells in one of two
+Every payload in this library serialises IBLT cells in one of two
 layouts:
 
-**v1 varint layout** (one-round sketches, the adaptive exchange, strata
-estimators — via :meth:`repro.iblt.table.IBLT.write_to`)::
+**Varint layout** (rateless increments, the adaptive exchange, strata
+estimators and standalone tables — via
+:meth:`repro.iblt.table.IBLT.write_to`)::
 
     per cell:  svarint(count) | uint(key_sum, key_bits) | uint(check_sum, checksum_bits)
 
-**v2 fixed-width layout** (the sharded frame, :mod:`repro.scale.wire`)::
+**Fixed-width layout** (the hierarchy sketch's level blobs,
+:mod:`repro.core.sketch`, and the store's snapshot and WAL)::
 
     per cell:  uint(zigzag(count), count_width) | uint(key_sum, key_bits) | uint(check_sum, checksum_bits)
 
-Historically v1 was produced and parsed field-at-a-time through Python
-:class:`~repro.net.bits.BitWriter` / :class:`~repro.net.bits.BitReader`
-calls — roughly three Python-level calls per cell, the dominant remaining
-CPU cost of a sync in the serve layer — while v2 kept a private numpy
-copy inside ``scale/wire.py``.  This module is now the single home of
-both: scalar reference functions (the bit-exact spec, always available)
-and numpy fast paths that pack / unpack whole tables columnarly via
-``np.packbits`` / ``np.unpackbits``.
+A fixed-width blob is a standalone byte string whose length its header
+fixes; :func:`fixed_count_width` gives the narrowest count field a table
+needs.
+
+Each layout has a scalar reference (the bit-exact spec, always
+available) and a numpy fast path that packs / unpacks whole tables
+columnarly via ``np.packbits`` / ``np.unpackbits``.
 
 The fast paths are **bit-identical** to the scalar reference — golden
 transcripts do not move — and fall back to the scalar functions whenever
@@ -111,7 +112,7 @@ def _writable_columns(counts, key_sums, check_sums, key_bits, check_bits):
     ``None`` demands the scalar fallback: values outside native widths,
     fields wider than declared (the reference writer raises there), or
     counts so large their zigzag would overflow int64 arithmetic.  The
-    one shared gate of both cell layouts' write paths — v1 varint and v2
+    one shared gate of both cell layouts' write paths — varint and
     fixed-width must never drift apart on when they vectorize.
     """
     cols = _columns(counts, key_sums, check_sums)
@@ -185,13 +186,13 @@ def _unzigzag_vec(zig) -> "_np.ndarray":
     return _np.where(zig & _np.uint64(1) == 0, half, -half - 1)
 
 
-# --------------------------------------------------------------- v1 varint
+# ------------------------------------------------------------------ varint
 
 
 def write_cells_scalar(
     writer: BitWriter, counts, key_sums, check_sums, key_bits: int, check_bits: int
 ) -> None:
-    """The field-at-a-time reference writer (the v1 wire spec)."""
+    """The field-at-a-time reference writer (the varint wire spec)."""
     for count, key, check in zip(counts, key_sums, check_sums):
         writer.write_svarint(int(count))
         writer.write_uint(int(key), key_bits)
@@ -201,7 +202,7 @@ def write_cells_scalar(
 def write_cells(
     writer: BitWriter, counts, key_sums, check_sums, key_bits: int, check_bits: int
 ) -> None:
-    """Serialise parallel cell columns in the v1 varint layout.
+    """Serialise parallel cell columns in the varint layout.
 
     Bit-identical to :func:`write_cells_scalar`; vectorized whenever numpy
     is available and the columns fit native widths.
@@ -250,7 +251,7 @@ def write_cells(
 def read_cells_scalar(
     reader: BitReader, cells: int, key_bits: int, check_bits: int
 ):
-    """The field-at-a-time reference parser (the v1 wire spec)."""
+    """The field-at-a-time reference parser (the varint wire spec)."""
     counts: list[int] = []
     key_sums: list[int] = []
     check_sums: list[int] = []
@@ -299,7 +300,7 @@ def _scan_varint_groups(reader: BitReader, cells: int, fixed_bits: int):
 
 
 def read_cells(reader: BitReader, cells: int, key_bits: int, check_bits: int):
-    """Parse ``cells`` v1-layout cells into three parallel columns.
+    """Parse ``cells`` varint-layout cells into three parallel columns.
 
     Returns numpy arrays (int64 counts, uint64 keys/checksums) on the fast
     path and plain lists of ints from the scalar reference otherwise; both
@@ -340,13 +341,27 @@ def read_cells(reader: BitReader, cells: int, key_bits: int, check_bits: int):
     return _unzigzag_vec(zig), keys, checks
 
 
-# ---------------------------------------------------------- v2 fixed-width
+# ------------------------------------------------------------- fixed-width
+
+
+def fixed_count_width(counts) -> int:
+    """The narrowest count field that holds every count of a column: the
+    bit length of the largest zigzag-mapped count, at least 1."""
+    if hasattr(counts, "dtype"):  # a numpy column
+        high, low = (int(counts.max()), int(counts.min())) if counts.size else (0, 0)
+    else:
+        high, low = max(counts, default=0), min(counts, default=0)
+    return max(
+        1,
+        zigzag_encode(int(high)).bit_length(),
+        zigzag_encode(int(low)).bit_length(),
+    )
 
 
 def encode_cells_fixed_scalar(
     counts, key_sums, check_sums, count_width: int, key_bits: int, check_bits: int
 ) -> bytes:
-    """Reference encoder for one fixed-width cell blob (the v2 wire spec)."""
+    """Reference encoder for one fixed-width cell blob (the wire spec)."""
     writer = BitWriter()
     for count, key, check in zip(counts, key_sums, check_sums):
         writer.write_uint(zigzag_encode(int(count)), count_width)
@@ -358,7 +373,7 @@ def encode_cells_fixed_scalar(
 def encode_cells_fixed(
     counts, key_sums, check_sums, count_width: int, key_bits: int, check_bits: int
 ) -> bytes:
-    """One table's cells as a standalone fixed-width blob (v2 layout)."""
+    """One table's cells as a standalone fixed-width blob."""
     if not _vector_ready(key_bits, check_bits) or count_width > 63:
         return encode_cells_fixed_scalar(
             counts, key_sums, check_sums, count_width, key_bits, check_bits
@@ -404,8 +419,9 @@ def decode_cells_fixed(
 ):
     """Parse one fixed-width cell blob into three parallel columns.
 
-    The caller (:mod:`repro.scale.wire`) validates the blob's byte length
-    against ``cells`` first; this only splits fields.
+    The caller (:mod:`repro.core.sketch`, the store's snapshot and WAL
+    codecs) validates the blob's byte length against ``cells`` first; this
+    only splits fields.
     """
     if not _vector_ready(key_bits, check_bits) or count_width > 63:
         return decode_cells_fixed_scalar(

@@ -7,12 +7,12 @@ shard, and frames the per-shard messages into a single wire payload:
 .. code-block:: text
 
     magic            8 bits   (0xB6)
-    version          8 bits   (2 — the sharded successor of the v1 frame)
+    version          8 bits   (2)
     shards           varint   (must match the receiver's public coins)
     partition_level  varint   (ditto; rejects drifted configs early)
     directory        varint   per shard: |S_A ∩ shard|
     payloads         length-prefixed per-shard sketch bytes
-                     (the v2 columnar codec, :mod:`repro.scale.wire`)
+                     (:class:`~repro.core.sketch.HierarchySketch`)
 
 Each shard's payload is byte-aligned, so the receiver slices it out in one
 ``read_bytes`` and the shards decode independently — concurrently, on a
@@ -26,7 +26,7 @@ Per-shard sketches are sized to the *local* difference budget
 (``ceil(k / S)``) rather than the global worst case, so total communication
 stays ``O(k log delta)`` while every shard's tables shrink with ``S``.
 
-Each shard task only parses and frames its v2 payload; the hierarchy work
+Each shard task only parses or writes its sketch; the hierarchy work
 itself — key passes, the level probe, repair planning and application —
 is :mod:`repro.core`'s single implementation
 (:meth:`~repro.core.protocol.HierarchicalReconciler.repair_from_sketch`),
@@ -44,7 +44,7 @@ from os import cpu_count
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import HierarchicalReconciler, ReconcileResult
 from repro.core.repair import RepairPlan
-from repro.core.sketch import build_level_sketches
+from repro.core.sketch import HierarchySketch, build_level_sketches
 from repro.emd.metrics import Point
 from repro.errors import SerializationError
 from repro.iblt.backends import available_backends
@@ -52,14 +52,7 @@ from repro.net.bits import BitReader
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
 from repro.scale.partition import SpacePartitioner
-from repro.scale.wire import (
-    SHARD_MAGIC,
-    SHARD_VERSION,
-    peek_n_points,
-    read_shard_sketch,
-    write_frame,
-    write_shard_sketch,
-)
+from repro.scale.wire import SHARD_MAGIC, SHARD_VERSION, write_frame
 
 
 def shard_protocol_config(config: ProtocolConfig) -> ProtocolConfig:
@@ -139,17 +132,17 @@ def _fan_out(config: ProtocolConfig):
 def _encode_shard_task(args) -> bytes:
     config, points = args
     sketches = build_level_sketches(config, _shard_reconciler(config).grid, points)
-    return write_shard_sketch(len(points), sketches)
+    return HierarchySketch(len(points), sketches).to_bytes()
 
 
 def _decode_shard_task(args) -> ReconcileResult:
     config, payload, points, n_alice, strategy = args
-    if peek_n_points(payload) != n_alice:
+    reconciler = _shard_reconciler(config)
+    sketch = HierarchySketch.from_bytes(payload, config, reconciler.grid)
+    if sketch.n_points != n_alice:
         raise SerializationError(
             "shard directory count disagrees with the shard payload header"
         )
-    reconciler = _shard_reconciler(config)
-    sketch = read_shard_sketch(payload, config, reconciler.grid)
     return reconciler.repair_from_sketch(sketch, points, strategy)
 
 

@@ -20,7 +20,7 @@ from repro.core.incremental import IncrementalSketch
 from repro.emd.metrics import Point
 from repro.scale.engine import shard_protocol_config
 from repro.scale.partition import SpacePartitioner
-from repro.scale.wire import write_frame, write_shard_sketch
+from repro.scale.wire import write_frame
 
 
 class ShardedIncrementalSketch:
@@ -125,8 +125,5 @@ class ShardedIncrementalSketch:
             self.config.shards,
             self.partitioner.level,
             [shard.n_points for shard in self._shards],
-            [
-                write_shard_sketch(shard.n_points, shard.level_sketches())
-                for shard in self._shards
-            ],
+            [shard.encode() for shard in self._shards],
         )

@@ -1,54 +1,28 @@
-"""The per-shard sketch codec (wire format v2).
+"""The sharded frame: the outer message enclosing one sketch per shard.
 
-The v1 :class:`~repro.core.sketch.HierarchySketch` interleaves a varint
-count with each cell's key/checksum fields, which forces field-at-a-time
-(de)serialisation — at scale that is the protocol's single biggest CPU
-cost.  The sharded frame version-bumps the payload to a **fixed-width
-columnar cell layout**: every cell of a level spends exactly
-
-.. code-block:: text
-
-    count_width + key_bits + checksum_bits
-
-bits (``count_width`` derived from the header's point count: a level holds
-one key per point, so a cell's count never exceeds ``n_points``), and a
-level's cells become one contiguous bit blob.  Fixed widths make the blob
-a pure bit-matrix; the cell packing itself lives in the shared wire codec
-(:mod:`repro.net.codec`), which packs and unpacks whole tables with
-``packbits`` / ``unpackbits`` when numpy is available and writes the
-*identical* bytes through the reference
-:class:`~repro.net.bits.BitWriter` otherwise, keeping the wire
-backend-independent.
+Each shard's payload is an ordinary :class:`~repro.core.sketch.
+HierarchySketch` (fixed-width, length-prefixed level blobs), written and
+parsed by :mod:`repro.core.sketch`; this module only frames them.
 
 Layout::
 
-    magic      8 bits   (0xB7)
-    version    8 bits   (2)
-    n_points   varint
-    n_levels   varint
-    per level: level id (varint) + cell blob (length-prefixed bytes)
+    magic            8 bits   (0xB6)
+    version          8 bits   (2)
+    shards           varint
+    partition_level  varint
+    directory        varint per shard: |S_A ∩ shard|
+    payloads         length-prefixed per-shard sketch bytes
 
-All fields are byte-aligned, so blobs move through the reader's bulk
+All fields are byte-aligned, so payloads move through the reader's bulk
 slice path.
 """
 
 from __future__ import annotations
 
-from repro.core.config import ProtocolConfig
-from repro.core.grid import ShiftedGridHierarchy
-from repro.core.sketch import HierarchySketch, LevelSketch, level_iblt_config
-from repro.errors import SerializationError
-from repro.iblt.table import IBLT
-from repro.net.bits import BitReader, BitWriter
-from repro.net.codec import decode_cells_fixed, encode_cells_fixed
-
-SKETCH_MAGIC = 0xB7
-SKETCH_VERSION = 2
+from repro.net.bits import BitWriter
 
 #: Outer frame constants (the sharded message enclosing shard payloads).
 SHARD_MAGIC = 0xB6
-#: The sharded frame is the version-2 successor of the v1 single-sketch
-#: message (:data:`repro.core.sketch.VERSION`).
 SHARD_VERSION = 2
 
 
@@ -71,111 +45,3 @@ def write_frame(
     for payload in payloads:
         writer.write_bytes(payload)
     return writer.getvalue()
-
-
-def count_width(n_points: int) -> int:
-    """Bits per cell-count field: a level's table holds ``n_points`` keys,
-    so a (zigzag-mapped) count never exceeds ``2 * n_points``."""
-    return max(1, (2 * n_points).bit_length())
-
-
-def _cell_blob(table: IBLT, width: int) -> bytes:
-    """One level's cells as a fixed-width bit blob.
-
-    Delegates to the shared codec (:mod:`repro.net.codec`): columnar
-    ``packbits`` when numpy is available — whatever backend hosts the
-    table — reference bit-writer otherwise; same bytes either way.
-    """
-    counts, key_sums, check_sums = table.rows_arrays()
-    return encode_cells_fixed(
-        counts, key_sums, check_sums,
-        width, table.config.key_bits, table.config.checksum_bits,
-    )
-
-
-def _load_blob(
-    blob: bytes, config, backend: str | None, width: int
-) -> IBLT:
-    """Rebuild one level's table from its fixed-width cell blob."""
-    key_bits = config.key_bits
-    check_bits = config.checksum_bits
-    total = width + key_bits + check_bits
-    expected = (config.cells * total + 7) // 8
-    if len(blob) != expected:
-        raise SerializationError(
-            f"level blob holds {len(blob)} bytes, "
-            f"{config.cells} cells need {expected}"
-        )
-    table = IBLT(config, backend=backend)
-    counts, key_sums, check_sums = decode_cells_fixed(
-        blob, config.cells, width, key_bits, check_bits
-    )
-    table._backend.load_rows(counts, key_sums, check_sums)
-    return table
-
-
-def write_shard_sketch(n_points: int, levels: list[LevelSketch]) -> bytes:
-    """Serialise one shard's hierarchy sketch in the v2 columnar layout."""
-    writer = BitWriter()
-    writer.write_uint(SKETCH_MAGIC, 8)
-    writer.write_uint(SKETCH_VERSION, 8)
-    writer.write_varint(n_points)
-    writer.write_varint(len(levels))
-    width = count_width(n_points)
-    for sketch in levels:
-        writer.write_varint(sketch.level)
-        writer.write_bytes(_cell_blob(sketch.table, width))
-    return writer.getvalue()
-
-
-def read_shard_sketch(
-    data: bytes,
-    config: ProtocolConfig,
-    grid: ShiftedGridHierarchy,
-) -> HierarchySketch:
-    """Deserialise a v2 shard sketch, re-deriving per-level IBLT configs."""
-    reader = BitReader(data)
-    if reader.read_uint(8) != SKETCH_MAGIC:
-        raise SerializationError("bad magic byte; not a shard sketch")
-    if reader.read_uint(8) != SKETCH_VERSION:
-        raise SerializationError("unsupported shard sketch version")
-    n_points = reader.read_varint()
-    width = count_width(n_points)
-    if width > 63:
-        raise SerializationError(
-            f"shard sketch claims an implausible point count {n_points}"
-        )
-    n_levels = reader.read_varint()
-    if n_levels > grid.max_level + 1:
-        raise SerializationError(
-            f"shard sketch claims {n_levels} levels, grid has "
-            f"{grid.max_level + 1}"
-        )
-    levels: list[LevelSketch] = []
-    seen: set[int] = set()
-    for _ in range(n_levels):
-        level = reader.read_varint()
-        if not 0 <= level <= grid.max_level:
-            raise SerializationError(f"level {level} out of range")
-        if level in seen:
-            raise SerializationError(f"shard sketch carries level {level} twice")
-        seen.add(level)
-        blob = reader.read_bytes()
-        table_config = level_iblt_config(config, grid, level)
-        levels.append(
-            LevelSketch(
-                level, _load_blob(blob, table_config, config.backend, width)
-            )
-        )
-    reader.expect_end()
-    return HierarchySketch(n_points=n_points, levels=levels)
-
-
-def peek_n_points(data: bytes) -> int:
-    """Read a shard payload's header point count (header-only, cheap)."""
-    reader = BitReader(data)
-    if reader.read_uint(8) != SKETCH_MAGIC:
-        raise SerializationError("bad magic byte; not a shard sketch")
-    if reader.read_uint(8) != SKETCH_VERSION:
-        raise SerializationError("unsupported shard sketch version")
-    return reader.read_varint()

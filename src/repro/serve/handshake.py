@@ -40,7 +40,9 @@ from repro.errors import (
 from repro.net.bits import BitReader, BitWriter
 
 MAGIC = "repro-serve"
-WIRE_VERSION = 1
+#: Version 2: the hierarchy sketch carries fixed-width level blobs.  A
+#: version-1 peer is refused at the hello, before any sketch bytes flow.
+WIRE_VERSION = 2
 
 #: First byte of the binary retry-later refusal the server sends instead
 #: of a JSON welcome when shedding load.  Distinct from every sketch

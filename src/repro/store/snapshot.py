@@ -33,13 +33,19 @@ from repro.errors import ConfigError, SerializationError, StoreCorruptError
 from repro.net.bits import BitReader, BitWriter
 from repro.net.codec import decode_cells_fixed, encode_cells_fixed
 from repro.scale.incremental import ShardedIncrementalSketch
-from repro.scale.wire import count_width
 
 SNAPSHOT_MAGIC = 0xCC
 SNAPSHOT_VERSION = 1
 
 #: Unused checksum column width for the counts blob.
 _PAD_BITS = 1
+
+
+def count_width(n_points: int) -> int:
+    """Bits per cell-count field of a snapshot's level blob: a table holds
+    ``n_points`` keys, so a (zigzag-mapped) count never exceeds
+    ``2 * n_points``."""
+    return max(1, (2 * n_points).bit_length())
 
 
 def _count_bits(occupancy_bits: int) -> int:

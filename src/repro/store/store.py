@@ -269,7 +269,7 @@ class DurableSketchStore:
         return self.sketch.encode()
 
     def one_round_encode(self) -> bytes:
-        """The live v1 one-round message (``shards == 1`` stores only)."""
+        """The live one-round message (``shards == 1`` stores only)."""
         shards = self.sketch.shard_sketches()
         if len(shards) != 1:
             raise ConfigError("one-round payload requires a single-shard store")

@@ -1,7 +1,7 @@
 """Unit tests for the repair planner and edit application.
 
-Every planner case runs on both of the planner's key sources: bucketing
-Bob's points (the no-numpy path) and Bob's vectorized key pass (where
+Every planner case runs on all of the planner's key sources: bucketing
+Bob's points, Bob's scalar key pass, and Bob's vectorized key pass (where
 numpy allows one).
 """
 
@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.core.grid import ShiftedGridHierarchy
+from repro.core.grid import ScalarKeyPass, ShiftedGridHierarchy
 from repro.core.repair import (
     REPAIR_STRATEGIES,
     RepairPlan,
@@ -24,8 +24,10 @@ def make_grid(delta=256, dimension=2, seed=9):
 
 
 def key_passes(grid, bob_points):
-    """``None`` (bucket every point), then a key pass when one is possible."""
+    """``None`` (bucket every point), a scalar key pass, then a vector key
+    pass when one is possible."""
     yield None
+    yield ScalarKeyPass(grid, bob_points)
     key_pass = grid.vector_key_pass(bob_points)
     if key_pass is not None:
         yield key_pass
@@ -130,6 +132,25 @@ class TestPlanRepair:
                 assert victim in bucket
         # Both key sources see each cell in sorted order: same victims.
         assert all(plan.removals == plans[0].removals for plan in plans)
+
+
+    def test_key_passes_match_buckets(self):
+        grid = make_grid()
+        rng = random.Random(4)
+        points = [(rng.randrange(256), rng.randrange(256)) for _ in range(300)]
+        points += points[:40]  # repeated points share a cell and a bucket
+        for key_pass in list(key_passes(grid, points))[1:]:
+            for level in (grid.max_level, 6, 3, 0):
+                assert list(key_pass.keys(level)) == list(
+                    grid.keys_for(points, level)
+                )
+                buckets = grid.bucket_points(points, level)
+                for cell, bucket in buckets.items():
+                    found = key_pass.cell_points(cell, level)
+                    assert list(found) == bucket
+                    assert found[1:] == bucket[1:]
+            empty = next((x, 0) for x in range(256) if (x, 0) not in buckets)
+            assert len(key_pass.cell_points(empty, 0)) == 0
 
 
 class TestApplyRepair:

@@ -38,7 +38,7 @@ from repro.iblt.table import IBLT
 from repro.scale.engine import shard_protocol_config
 from repro.scale.incremental import ShardedIncrementalSketch
 from repro.scale.partition import SpacePartitioner
-from repro.scale.wire import write_frame, write_shard_sketch
+from repro.scale.wire import write_frame
 from repro.store import DurableSketchStore, MemStorage
 from repro.store import wal as wal_codec
 from repro.store.store import WAL_NAME
@@ -97,15 +97,11 @@ class PerPointOracle:
     def remove(self, point) -> None:
         self._update(point, -1)
 
-    def level_sketches(self) -> list[LevelSketch]:
-        return [LevelSketch(level, table) for level, table in self.tables.items()]
-
     def encode(self) -> bytes:
         return HierarchySketch(
             n_points=self.n_points,
             levels=[
-                LevelSketch(level, table.copy())
-                for level, table in self.tables.items()
+                LevelSketch(level, table) for level, table in self.tables.items()
             ],
         ).to_bytes()
 
@@ -132,10 +128,7 @@ class ShardedOracle:
             self.config.shards,
             self.partitioner.level,
             [shard.n_points for shard in self.shards],
-            [
-                write_shard_sketch(shard.n_points, shard.level_sketches())
-                for shard in self.shards
-            ],
+            [shard.encode() for shard in self.shards],
         )
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import reconcile
+from repro.core.sketch import HierarchySketch, build_level_sketches
 from repro.errors import ConfigError, SerializationError
 from repro.iblt.backends import available_backends
 from repro.net.bits import BitReader, BitWriter
@@ -280,64 +281,62 @@ class TestShardedWire:
         with pytest.raises(SerializationError, match="directory"):
             engine.decode_and_repair(writer.getvalue(), w.bob)
 
-    def test_duplicate_level_in_shard_payload(self):
-        from repro.scale.wire import read_shard_sketch
-
-        w, engine, payload = self._payload_and_engine()
-        _, payloads = engine.parse_frame(payload)
-        shard_payload = payloads[0]
+    def _first_level(self, shard_payload):
+        """A shard payload's header fields and its first level's wire fields."""
         reader = BitReader(shard_payload)
-        reader.read_uint(8), reader.read_uint(8)
-        n_points = reader.read_varint()
-        n_levels = reader.read_varint()
-        level = reader.read_varint()
-        blob = reader.read_bytes()
-        writer = BitWriter()
-        writer.write_uint(0xB7, 8)
-        writer.write_uint(2, 8)
-        writer.write_varint(n_points)
-        writer.write_varint(n_levels)
-        for _ in range(2):  # carry the first level twice
-            writer.write_varint(level)
-            writer.write_bytes(blob)
-        with pytest.raises(SerializationError, match="twice"):
-            read_shard_sketch(
-                writer.getvalue(), engine.shard_config, engine.grid
-            )
-
-    def test_blob_length_mismatch(self):
-        from repro.scale.wire import read_shard_sketch
-
-        w, engine, payload = self._payload_and_engine()
-        _, payloads = engine.parse_frame(payload)
-        reader = BitReader(payloads[0])
-        reader.read_uint(8), reader.read_uint(8)
+        magic, version = reader.read_uint(8), reader.read_uint(8)
         n_points = reader.read_varint()
         reader.read_varint()
         level = reader.read_varint()
-        blob = reader.read_bytes()
+        width = reader.read_uint(8)
+        return magic, version, n_points, level, width, reader.read_bytes()
+
+    def _shard_payload(self, magic, version, n_points, levels):
         writer = BitWriter()
-        writer.write_uint(0xB7, 8)
-        writer.write_uint(2, 8)
+        writer.write_uint(magic, 8)
+        writer.write_uint(version, 8)
         writer.write_varint(n_points)
-        writer.write_varint(1)
-        writer.write_varint(level)
-        writer.write_bytes(blob[:-1])  # short blob
-        with pytest.raises(SerializationError, match="blob"):
-            read_shard_sketch(
-                writer.getvalue(), engine.shard_config, engine.grid
+        writer.write_varint(len(levels))
+        for level, width, blob in levels:
+            writer.write_varint(level)
+            writer.write_uint(width, 8)
+            writer.write_bytes(blob)
+        return writer.getvalue()
+
+    def test_duplicate_level_in_shard_payload(self):
+        w, engine, payload = self._payload_and_engine()
+        _, payloads = engine.parse_frame(payload)
+        magic, version, n_points, level, width, blob = self._first_level(
+            payloads[0]
+        )
+        # Carry the first level twice.
+        duplicated = self._shard_payload(
+            magic, version, n_points, [(level, width, blob)] * 2
+        )
+        with pytest.raises(SerializationError, match="twice"):
+            HierarchySketch.from_bytes(
+                duplicated, engine.shard_config, engine.grid
             )
 
-    def test_codec_roundtrip_preserves_tables(self):
-        from repro.scale.wire import read_shard_sketch, write_shard_sketch
-        from repro.core.sketch import build_level_sketches
+    def test_blob_length_mismatch(self):
+        w, engine, payload = self._payload_and_engine()
+        _, payloads = engine.parse_frame(payload)
+        magic, version, n_points, level, width, blob = self._first_level(
+            payloads[0]
+        )
+        short = self._shard_payload(
+            magic, version, n_points, [(level, width, blob[:-1])]
+        )
+        with pytest.raises(SerializationError, match="blob"):
+            HierarchySketch.from_bytes(short, engine.shard_config, engine.grid)
 
+    def test_codec_roundtrip_preserves_tables(self):
         w = _workload(noise=0, n=60)
         config = shard_protocol_config(_config(w))
         engine = ShardedReconciler(_config(w))
         sketches = build_level_sketches(config, engine.grid, w.alice[:40])
-        payload = write_shard_sketch(40, sketches)
-        parsed = read_shard_sketch(payload, config, engine.grid)
+        payload = HierarchySketch(40, sketches).to_bytes()
+        parsed = HierarchySketch.from_bytes(payload, config, engine.grid)
         assert parsed.n_points == 40
         assert [s.level for s in parsed.levels] == [s.level for s in sketches]
         for original, decoded in zip(sketches, parsed.levels):

@@ -90,6 +90,13 @@ class TestFrameCodec:
             encode_frame("text")
 
 
+def _with_version(hello: bytes, version: int) -> bytes:
+    """A hello frame claiming another serve-protocol version."""
+    current = b'"version":%d' % handshake.WIRE_VERSION
+    assert current in hello
+    return hello.replace(current, b'"version":%d' % version)
+
+
 class TestHandshakeParsing:
     def test_hello_roundtrip(self):
         config = _config()
@@ -109,10 +116,15 @@ class TestHandshakeParsing:
             handshake.parse_hello(b'{"magic": "other-protocol"}')
 
     def test_version_mismatch_is_session_error(self):
-        payload = handshake.hello_bytes("one-round", "0" * 16).replace(
-            b'"version":1', b'"version":999'
-        )
+        payload = _with_version(handshake.hello_bytes("one-round", "0" * 16), 999)
         with pytest.raises(SessionError, match="version"):
+            handshake.parse_hello(payload)
+
+    def test_version_one_hello_is_session_error(self):
+        """A peer built before the fixed-width sketch layout speaks
+        version 1; it is refused typed at the hello."""
+        payload = _with_version(handshake.hello_bytes("one-round", "0" * 16), 1)
+        with pytest.raises(SessionError, match="version 1"):
             handshake.parse_hello(payload)
 
     def test_error_frame_surfaces_reason(self):
@@ -183,9 +195,10 @@ class TestHandshakeRejection:
             async with ReconciliationServer(config, workload.alice) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
-                bad_hello = handshake.hello_bytes(
-                    "one-round", server.digest("one-round")
-                ).replace(b'"version":1', b'"version":999')
+                bad_hello = _with_version(
+                    handshake.hello_bytes("one-round", server.digest("one-round")),
+                    1,
+                )
                 writer.write(encode_frame(bad_hello))
                 await writer.drain()
                 reply = await read_frame(reader, timeout=5)
