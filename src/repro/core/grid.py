@@ -369,16 +369,21 @@ def pack_cells(cells: "_np.ndarray", bits: int) -> "_np.ndarray":
 def occurrence_ranks(ids: "_np.ndarray") -> "_np.ndarray":
     """Per element, how many earlier elements (in array order) share its
     value — the occurrence rank, vectorized (int64)."""
-    n = ids.shape[0]
     order = _np.argsort(ids, kind="stable")
-    ordered = ids[order]
+    ranks = _np.empty(ids.shape[0], dtype=_np.int64)
+    ranks[order] = sorted_ranks(ids[order])
+    return ranks
+
+
+def sorted_ranks(ordered: "_np.ndarray") -> "_np.ndarray":
+    """:func:`occurrence_ranks` of an already sorted array: each element's
+    offset inside its run of equal values."""
+    n = ordered.shape[0]
     starts = _np.flatnonzero(
         _np.concatenate(([True], ordered[1:] != ordered[:-1]))
     )
     sizes = _np.diff(_np.append(starts, n))
-    ranks = _np.empty(n, dtype=_np.int64)
-    ranks[order] = _np.arange(n, dtype=_np.int64) - _np.repeat(starts, sizes)
-    return ranks
+    return _np.arange(n, dtype=_np.int64) - _np.repeat(starts, sizes)
 
 
 class VectorKeyPass:
@@ -386,11 +391,12 @@ class VectorKeyPass:
 
     Construction (via :meth:`ShiftedGridHierarchy.vector_key_pass` or a
     pre-sorted shifted block) pays the validation + shift + lexsort once;
-    :meth:`keys` and :meth:`cell_keys` then cost only per-level bit
-    arithmetic and grouping.  All outputs are int64 numpy arrays **in the
-    pass's sorted (coordinate) order** — exactly the order
-    :meth:`ShiftedGridHierarchy.bucket_points` sorts each bucket into, so
-    occurrence ranks agree with the scalar paths key for key.
+    :meth:`keys` then costs only per-level bit arithmetic and one sort of
+    the level's cell ids, which :meth:`holds` and :meth:`cell_buckets`
+    reuse.  Keys are int64 numpy arrays **in the pass's sorted (coordinate)
+    order** — exactly the order :meth:`ShiftedGridHierarchy.bucket_points`
+    sorts each bucket into, so occurrence ranks agree with the scalar paths
+    key for key.
     """
 
     def __init__(self, grid: ShiftedGridHierarchy, sorted_shifted, order=None):
@@ -403,8 +409,8 @@ class VectorKeyPass:
         #: point order (``None`` when the caller supplied pre-sorted data).
         self.order = order
         self._keys: dict[int, "_np.ndarray"] = {}
-        self._cell_keys: dict[int, "_np.ndarray"] = {}
-        self._by_cell: dict[int, tuple["_np.ndarray", "_np.ndarray"]] = {}
+        #: Per level, the stable argsort of the cell ids (see :meth:`keys`).
+        self._by_cell: dict[int, "_np.ndarray"] = {}
 
     def __len__(self) -> int:
         return self._shifted.shape[0]
@@ -412,37 +418,6 @@ class VectorKeyPass:
     def supports(self, level: int) -> bool:
         """True when this level's packed keys fit int64 arithmetic."""
         return self.grid.key_bits(level) <= 63
-
-    def cell_keys(self, level: int) -> "_np.ndarray":
-        """Packed cell id per point (sorted order), without occurrence bits."""
-        cached = self._cell_keys.get(level)
-        if cached is not None:
-            return cached
-        self.grid._check_level(level)
-        cell_key = pack_cells(self._shifted >> level, self.grid.coord_bits(level))
-        self._cell_keys[level] = cell_key
-        return cell_key
-
-    def cell_points(self, cell: Cell, level: int) -> Sequence[Point]:
-        """One cell's points in sorted order, without bucketing every point.
-
-        Reads as ``grid.bucket_points(points, level).get(cell, [])``: the
-        level's cell ids are argsorted once (stably, so each cell's slice
-        keeps the pass's coordinate order), then each cell costs a binary
-        search and a slice.  Points become tuples only when read, since a
-        coarse cell can hold most of the multiset and a repair plan reads
-        only its top ranks.
-        """
-        grouped = self._by_cell.get(level)
-        if grouped is None:
-            cell_keys = self.cell_keys(level)
-            by_cell = _np.argsort(cell_keys, kind="stable")
-            grouped = self._by_cell[level] = (by_cell, cell_keys[by_cell])
-        by_cell, sorted_cells = grouped
-        packed = self.grid.pack_key(cell, 0, level) >> self.grid.occupancy_bits
-        lo = int(_np.searchsorted(sorted_cells, packed, side="left"))
-        hi = int(_np.searchsorted(sorted_cells, packed, side="right"))
-        return _Rows(self._shifted[by_cell[lo:hi]] - self._shift)
 
     def keys(self, level: int) -> "_np.ndarray":
         """Packed ``(cell, occurrence-rank)`` keys per point (sorted order)."""
@@ -454,20 +429,69 @@ class VectorKeyPass:
                 f"level {level} keys need {self.grid.key_bits(level)} bits; "
                 "the vectorized pass handles at most 63"
             )
-        cell_key = self.cell_keys(level)
         occ_bits = self.grid.occupancy_bits
         occ_limit = 1 << occ_bits
+        cell_key = pack_cells(self._shifted >> level, self.grid.coord_bits(level))
         # Occurrence rank = number of earlier points (in sorted order)
-        # sharing the cell; equal cells need not be adjacent.
-        ranks = occurrence_ranks(cell_key)
+        # sharing the cell; equal cells need not be adjacent, so the ranks
+        # are counted in a stable sort by cell, which keeps each cell's run
+        # in the pass's order.
+        by_cell = _np.argsort(cell_key, kind="stable")
+        sorted_cells = cell_key[by_cell]
+        ranks = sorted_ranks(sorted_cells)
         if int(ranks.max()) >= occ_limit:
             raise CapacityExceeded(
                 f"more than {occ_limit} points share a level-{level} "
                 "cell; raise occupancy_bits"
             )
-        keys = (cell_key << occ_bits) | ranks
+        keys = _np.empty_like(cell_key)
+        keys[by_cell] = (sorted_cells << occ_bits) | ranks
         self._keys[level] = keys
+        self._by_cell[level] = by_cell
         return keys
+
+    def _by_key(self, level: int) -> tuple["_np.ndarray", "_np.ndarray"]:
+        """The level's cell-order permutation and its keys in that order,
+        which ascend: cells sort first, and each cell's ranks count up
+        from 0."""
+        keys = self.keys(level)
+        by_cell = self._by_cell[level]
+        return by_cell, keys[by_cell]
+
+    def holds(self, keys: Sequence[int], level: int) -> bool:
+        """True when every one of ``keys`` is one of this multiset's keys
+        at ``level``: one binary search over the level's sorted keys."""
+        if not len(keys):
+            return True
+        _, held = self._by_key(level)
+        wanted = _np.asarray(keys, dtype=_np.int64)
+        at = _np.minimum(_np.searchsorted(held, wanted), held.shape[0] - 1)
+        return bool((held[at] == wanted).all())
+
+    def cell_buckets(
+        self, cells: Sequence[Cell], level: int
+    ) -> list[Sequence[Point]]:
+        """Each cell's points in sorted order, without bucketing every point.
+
+        Reads as ``[grid.bucket_points(points, level).get(cell, []) for
+        cell in cells]``: one batched binary search over the level's sorted
+        cell ids finds every cell's slice.  Points become tuples only when
+        read, since a coarse cell can hold most of the multiset and a
+        repair plan reads only its top ranks.
+        """
+        by_cell, sorted_keys = self._by_key(level)
+        occ_bits = self.grid.occupancy_bits
+        packed = _np.array(
+            [self.grid.pack_key(cell, 0, level) >> occ_bits for cell in cells],
+            dtype=_np.int64,
+        )
+        lows, highs = _np.searchsorted(
+            sorted_keys >> occ_bits, _np.stack((packed, packed + 1))
+        ).tolist()
+        return [
+            _Rows(self._shifted[by_cell[low:high]] - self._shift)
+            for low, high in zip(lows, highs)
+        ]
 
 
 class _Rows(Sequence):
@@ -492,9 +516,10 @@ class ScalarKeyPass:
     possible (no numpy, points that are not a clean integer block, or keys
     wider than 63 bits).
 
-    Each level's keys are hashed once, on first use, and :meth:`cell_points`
-    groups the points by those same keys, so Bob's level table and every
-    repair plan at that level share one hashing.
+    Each level's keys are hashed once, on first use; :meth:`holds` and
+    :meth:`cell_buckets` read those same keys, so Bob's level table, the
+    probe's membership test and the repair plan at that level share one
+    hashing.
     """
 
     def __init__(self, grid: ShiftedGridHierarchy, points: Sequence[Point]):
@@ -511,9 +536,18 @@ class ScalarKeyPass:
             keys = self._keys[level] = self.grid.keys_for(self.points, level)
         return keys
 
-    def cell_points(self, cell: Cell, level: int) -> list[Point]:
-        """One cell's points in sorted order; equals
-        ``grid.bucket_points(points, level).get(cell, [])``."""
+    def holds(self, keys: Sequence[int], level: int) -> bool:
+        """True when every one of ``keys`` is one of this multiset's keys
+        at ``level`` (a set lookup)."""
+        if not keys:
+            return True
+        held = set(self.keys(level))
+        return all(key in held for key in keys)
+
+    def cell_buckets(self, cells: Sequence[Cell], level: int) -> list[list[Point]]:
+        """Each cell's points in sorted order; equals
+        ``[grid.bucket_points(points, level).get(cell, []) for cell in
+        cells]``."""
         occ_bits = self.grid.occupancy_bits
         by_cell = self._by_cell.get(level)
         if by_cell is None:
@@ -524,4 +558,7 @@ class ScalarKeyPass:
             by_cell = self._by_cell[level] = {}
             for point, key in zip(self._sorted, self.keys(level)):
                 by_cell.setdefault(key >> occ_bits, []).append(point)
-        return by_cell.get(self.grid.pack_key(cell, 0, level) >> occ_bits, [])
+        return [
+            by_cell.get(self.grid.pack_key(cell, 0, level) >> occ_bits, [])
+            for cell in cells
+        ]

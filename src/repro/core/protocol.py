@@ -1,10 +1,10 @@
 """The one-round robust reconciliation protocol (the paper's algorithm).
 
 Alice builds one IBLT per grid level over occurrence-indexed cell keys and
-ships them all in a single message.  Bob subtracts his own keys level by
-level, finds the **finest level that peels**, and repairs his set from the
-decoded key difference: delete his surplus points, insert cell centres for
-Alice's surplus.
+ships them all in a single message.  Bob deletes his own keys from Alice's
+tables level by level, finds the **finest level that peels**, and repairs
+his set from the decoded key difference: delete his surplus points, insert
+cell centres for Alice's surplus.
 
 Why the finest decodable level is the right one: at level ``ℓ`` the expected
 number of *close* pairs split across cells is at most ``EMD_k / 2^ℓ``
@@ -22,7 +22,7 @@ hashes rather than ``O(n log Δ)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable
 
 from repro.core.config import ProtocolConfig
 from repro.core.grid import ScalarKeyPass, ShiftedGridHierarchy, VectorKeyPass
@@ -39,9 +39,6 @@ from repro.iblt.decode import DecodeResult, decode
 from repro.iblt.table import IBLT
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
-
-Accepted = TypeVar("Accepted")
-
 
 @dataclass
 class ReconcileResult:
@@ -97,20 +94,28 @@ class HierarchicalReconciler:
         level: int,
         cells: int | None = None,
         key_pass: VectorKeyPass | ScalarKeyPass | None = None,
+        minuend: IBLT | None = None,
     ) -> IBLT:
         """Build one level's IBLT over a point multiset.
 
         ``key_pass`` (over the same ``points``) supplies the keys when the
-        caller holds one; otherwise they are hashed from ``points``.
+        caller holds one; otherwise they are hashed from ``points``.  With
+        ``minuend`` (a level table the caller owns) the keys are deleted
+        from it in place instead, leaving ``minuend`` minus the multiset's
+        table, which is returned.
         """
+        if key_pass is not None:
+            keys = key_pass.keys(level)
+        else:
+            keys = self.grid.keys_for(points, level)
+        if minuend is not None:
+            minuend.delete_many(keys)
+            return minuend
         table = IBLT(
             level_iblt_config(self.config, self.grid, level, cells),
             backend=self.config.backend,
         )
-        if key_pass is not None:
-            table.insert_many(key_pass.keys(level))
-        else:
-            table.insert_many(self.grid.keys_for(points, level))
+        table.insert_many(keys)
         return table
 
     def encode(self, points: list[Point]) -> bytes:
@@ -158,11 +163,13 @@ class HierarchicalReconciler:
 
         Bob's keys come from one key pass shared by every probed level and
         the repair planner: :meth:`ShiftedGridHierarchy.vector_key_pass`,
-        or a :class:`ScalarKeyPass` where no vector pass is possible.
-        Alice's level tables are unpacked only where the search probes.
-        Every level that peels is planned at once, so a peel naming a point
-        Bob does not hold leaves the search going; the chosen level's plan
-        is the repair.
+        or a :class:`ScalarKeyPass` where no vector pass is possible.  Each
+        probed level unpacks a copy of Alice's table and deletes Bob's keys
+        from it; levels never probed stay packed, and ``sketch`` is left
+        unchanged.  A peel is accepted only if every Bob-surplus key is one
+        of Bob's own keys at that level (a membership test on the key pass),
+        so a peel naming a point Bob does not hold leaves the search going.
+        The repair is planned once, for the chosen level.
         """
         alice_levels = {
             level_sketch.level: level_sketch for level_sketch in sketch.levels
@@ -170,19 +177,20 @@ class HierarchicalReconciler:
         key_pass = self.grid.vector_key_pass(bob_points, tuple(alice_levels))
         if key_pass is None:
             key_pass = ScalarKeyPass(self.grid, bob_points)
-        level, result, plan, probed = probe_levels(
+        level, result, probed = probe_levels(
             alice_levels,
             lambda level, alice_table: self.level_table(
-                bob_points, level, alice_table.config.cells, key_pass
+                bob_points, level, key_pass=key_pass, minuend=alice_table
             ),
-            lambda level, result: plan_repair(
-                bob_points, result.alice_keys, result.bob_keys,
-                self.grid, level, strategy, key_pass,
-            ),
+            lambda level, result: key_pass.holds(result.bob_keys, level),
             sketch.n_points,
             len(bob_points),
             self.config,
             probe,
+        )
+        plan = plan_repair(
+            bob_points, result.alice_keys, result.bob_keys,
+            self.grid, level, strategy, key_pass,
         )
         return ReconcileResult(
             repaired=apply_repair(bob_points, plan),
@@ -196,25 +204,28 @@ class HierarchicalReconciler:
 
 def probe_levels(
     alice_levels: dict[int, LevelSketch],
-    bob_table: Callable[[int, IBLT], IBLT],
-    accept: Callable[[int, DecodeResult], Accepted],
+    difference: Callable[[int, IBLT], IBLT],
+    accept: Callable[[int, DecodeResult], bool],
     n_alice: int,
     n_bob: int,
     config: ProtocolConfig,
     probe: str = "binary",
-) -> tuple[int, DecodeResult, Accepted, list[int]]:
+) -> tuple[int, DecodeResult, list[int]]:
     """Find the finest level of Alice's sketch that decodes against Bob's.
 
     The one level-probe loop every hierarchy decoder shares.  Each probed
-    level unpacks Alice's table, subtracts ``bob_table(level,
-    alice_table)`` from it and peels the result; levels never probed stay
+    level unpacks a copy of Alice's table that the probe owns (see
+    :meth:`LevelSketch.table_copy`), and ``difference(level, table)``
+    returns it minus Bob's table, typically by deleting Bob's keys from it
+    in place; the probe peels the result.  Levels never probed stay
     packed.  A peel counts as a false decode, and its level as
     undecodable, when its surplus counts disagree with the point counts or
-    ``accept(level, result)`` raises :class:`ReconciliationFailure` (a
-    checksum-evading wrong key, e.g. one :func:`plan_repair` refuses).
-    Returns ``(level, result, accepted, levels_probed)``: ``accepted`` is
-    what ``accept`` returned for the chosen level, probed levels are in
-    probe order.
+    ``accept(level, result)`` is false.  The one-round decoder's accept is
+    a membership test: every Bob-surplus key must be one of Bob's own keys
+    at that level, which rejects exactly the checksum-evading wrong keys
+    :func:`plan_repair` refuses, without building a plan per probe.
+    Returns ``(level, result, levels_probed)``, probed levels in probe
+    order.
 
     Raises
     ------
@@ -229,24 +240,19 @@ def probe_levels(
         raise ReconciliationFailure("hierarchy sketch carries no levels")
     probed: list[int] = []
     outcomes: dict[int, DecodeResult] = {}
-    accepted: dict[int, Accepted] = {}
 
     def attempt(level: int) -> DecodeResult:
         if level not in outcomes:
             probed.append(level)
-            alice_table = alice_levels[level].table
             result = decode(
-                alice_table.subtract(bob_table(level, alice_table)),
+                difference(level, alice_levels[level].table_copy()),
                 max_items=config.decode_item_limit,
             )
             surplus = len(result.alice_keys) - len(result.bob_keys)
             if result.success and surplus != n_alice - n_bob:
                 result.success = False  # checksum-evading false decode
-            if result.success:
-                try:
-                    accepted[level] = accept(level, result)
-                except ReconciliationFailure:
-                    result.success = False  # decoded a key Bob cannot hold
+            if result.success and not accept(level, result):
+                result.success = False  # decoded a key Bob cannot hold
             outcomes[level] = result
         return outcomes[level]
 
@@ -256,7 +262,7 @@ def probe_levels(
             f"no level of the hierarchy sketch decoded "
             f"(difference exceeds budget k={config.k}?)"
         )
-    return chosen, outcomes[chosen], accepted[chosen], probed
+    return chosen, outcomes[chosen], probed
 
 
 def _finest_decodable(levels, attempt, probe: str) -> int | None:

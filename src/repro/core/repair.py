@@ -80,9 +80,9 @@ def plan_repair(
 
     With ``key_pass`` (Bob's :class:`~repro.core.grid.VectorKeyPass` or
     :class:`~repro.core.grid.ScalarKeyPass`) only the decoded surplus cells
-    are looked up; without one every point is bucketed at ``level``.  All
-    see each cell's points in the same sorted order, so they pick the same
-    victims.
+    are looked up, in one batch; without one every point is bucketed at
+    ``level``.  All see each cell's points in the same sorted order, so
+    they pick the same victims.
 
     Raises
     ------
@@ -101,13 +101,12 @@ def plan_repair(
         plan.additions.extend(centre for _ in occurrences)
 
     surplus = _group_surplus(bob_keys, grid, level)
-    if surplus and key_pass is None:
-        buckets = grid.bucket_points(bob_points, level)
-    for cell, occurrences in surplus.items():
-        if key_pass is not None:
-            bucket = key_pass.cell_points(cell, level)
-        else:
-            bucket = buckets.get(cell)
+    if key_pass is not None:
+        buckets = key_pass.cell_buckets(list(surplus), level)
+    else:
+        by_cell = grid.bucket_points(bob_points, level) if surplus else {}
+        buckets = [by_cell.get(cell) for cell in surplus]
+    for (cell, occurrences), bucket in zip(surplus.items(), buckets):
         if not bucket:
             raise ReconciliationFailure(
                 f"decoded Bob-surplus key names empty cell {cell} at level {level}"

@@ -23,7 +23,8 @@ Each cell spends exactly ``count_width + key_bits + checksum_bits`` bits,
 so a level's blob length is fixed by its header.  :meth:`HierarchySketch.
 from_bytes` checks every header and blob length up front, then keeps the
 blobs packed: a level's cells are unpacked the first time its table is
-used, so Bob unpacks only the levels the level search probes.
+used, and Bob's level search unpacks a copy of only the levels it probes
+(:meth:`LevelSketch.table_copy`), leaving the parsed sketch unchanged.
 """
 
 from __future__ import annotations
@@ -88,17 +89,31 @@ class LevelSketch:
     def table(self) -> IBLT:
         """The level's IBLT, unpacked from its blob on first use."""
         if self._table is None:
-            config, width, blob, backend = self._packed
-            self._table = IBLT.from_columns(
-                config,
-                *decode_cells_fixed(
-                    blob, config.cells, width, config.key_bits,
-                    config.checksum_bits,
-                ),
-                backend=backend,
-            )
+            self._table = self._unpack()
             self._packed = None
         return self._table
+
+    def table_copy(self) -> IBLT:
+        """A new IBLT of the level's cells, owned by the caller.
+
+        Unpacked from the blob while the level is still packed, else a copy
+        of :attr:`table`; either way :attr:`table` is left as it was, so the
+        caller may update the copy in place.
+        """
+        if self._table is None:
+            return self._unpack()
+        return self._table.copy()
+
+    def _unpack(self) -> IBLT:
+        config, width, blob, backend = self._packed
+        return IBLT.from_columns(
+            config,
+            *decode_cells_fixed(
+                blob, config.cells, width, config.key_bits,
+                config.checksum_bits,
+            ),
+            backend=backend,
+        )
 
     def wire_fields(self) -> tuple[int, bytes]:
         """``(count width, cell blob)`` encoded from the table."""

@@ -145,12 +145,13 @@ class TestPlanRepair:
                     grid.keys_for(points, level)
                 )
                 buckets = grid.bucket_points(points, level)
-                for cell, bucket in buckets.items():
-                    found = key_pass.cell_points(cell, level)
-                    assert list(found) == bucket
-                    assert found[1:] == bucket[1:]
+                found = key_pass.cell_buckets(list(buckets), level)
+                for bucket, cell_points in zip(buckets.values(), found):
+                    assert list(cell_points) == bucket
+                    assert cell_points[1:] == bucket[1:]
             empty = next((x, 0) for x in range(256) if (x, 0) not in buckets)
-            assert len(key_pass.cell_points(empty, 0)) == 0
+            assert [len(b) for b in key_pass.cell_buckets([empty], 0)] == [0]
+            assert key_pass.cell_buckets([], 0) == []
 
 
 class TestApplyRepair:

@@ -275,9 +275,9 @@ class TestBackendParity:
 
 class TestFalseDecodeDuringProbing:
     """With 8-bit checksums a peel can pass the count-balance check yet
-    name a Bob-surplus key Bob does not hold.  The probe plans each peel
-    as it goes, so the repair planner's refusal marks that level
-    undecodable and the search goes on."""
+    name a Bob-surplus key Bob does not hold.  The probe's membership test
+    rejects such a peel exactly where the repair planner would refuse it,
+    so that level counts as undecodable and the search goes on."""
 
     SEED = 112
 
@@ -294,17 +294,17 @@ class TestFalseDecodeDuringProbing:
         workload, config, reconciler = self._case(backend)
         payload = reconciler.encode(workload.alice)
 
-        # Without planning during the probe, the search settles on a false
-        # decode that the planner can only refuse.
+        # Accepting every peel, the search settles on a false decode that
+        # the planner can only refuse.
         sketch = HierarchySketch.from_bytes(payload, config, reconciler.grid)
         levels = {level.level: level for level in sketch.levels}
         key_pass = reconciler.grid.vector_key_pass(workload.bob, tuple(levels))
-        false_level, false_result, _, _ = probe_levels(
+        false_level, false_result, _ = probe_levels(
             levels,
             lambda level, table: reconciler.level_table(
-                workload.bob, level, table.config.cells, key_pass
+                workload.bob, level, key_pass=key_pass, minuend=table
             ),
-            lambda level, result: None,
+            lambda level, result: True,
             sketch.n_points, len(workload.bob), config,
         )
         with pytest.raises(ReconciliationFailure):
@@ -325,15 +325,12 @@ class TestFalseDecodeDuringProbing:
         )
         levels = {level.level: level for level in sketch.levels}
 
-        def reject(level, result):
-            raise ReconciliationFailure(f"level {level} rejected")
-
         with pytest.raises(ReconciliationFailure, match="no level"):
             probe_levels(
                 levels,
                 lambda level, table: reconciler.level_table(
-                    workload.bob, level, table.config.cells
+                    workload.bob, level, minuend=table
                 ),
-                reject,
+                lambda level, result: False,
                 sketch.n_points, len(workload.bob), config,
             )
