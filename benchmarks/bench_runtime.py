@@ -1,4 +1,4 @@
-"""E7 — Encode/decode running time vs n (figure).
+"""E7 — Encode/decode running time vs n (figure), and encode scaling.
 
 Claim under test: Alice's encoding is ``O(n log Δ)`` hash work (linear in
 n at fixed geometry) and Bob's decode is dominated by his own key pass
@@ -6,8 +6,16 @@ n at fixed geometry) and Bob's decode is dominated by his own key pass
 ``REPEATS`` timed runs in milliseconds; pytest-benchmark times the n=4000
 kernels.
 
-    PYTHONPATH=src python -m pytest -q benchmarks/bench_runtime.py -k smoke   # n <= 4000
+The encode-scaling rows time the one-round encode at n = 1e5 and 1e6
+(the level tables built on a thread pool by
+:func:`repro.core.sketch.build_level_sketches`) against a serial level
+loop written out below, in ``ENCODE_PAIRS`` alternating pairs, and check
+that both give the same bytes.  ``cpu_count`` is recorded with them: on
+one CPU the pool is never opened and both columns time the same work.
+
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_runtime.py -k smoke   # n <= 4000, encode at 1e5
     PYTHONPATH=src python -m pytest -q benchmarks/bench_runtime.py -k table   # full sweep
+    PYTHONPATH=src python -m pytest -q benchmarks/bench_runtime.py -k scaling # encode at 1e5 and 1e6
 """
 
 from __future__ import annotations
@@ -19,6 +27,14 @@ import time
 from repro.analysis.tables import Table
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import HierarchicalReconciler
+from repro.core.sketch import (
+    HierarchySketch,
+    LevelSketch,
+    fan_out_width,
+    level_iblt_config,
+)
+from repro.iblt.backends import available_backends
+from repro.iblt.table import IBLT
 from repro.workloads.synthetic import perturbed_pair
 
 SIZES = (1000, 2000, 4000, 8000, 16000, 32000)
@@ -28,6 +44,13 @@ DELTA = 2**20
 TRUE_K = 8
 NOISE = 4
 SEED = 0
+
+#: Encode-scaling regimes (n, k), noise-free: the inputs the retired B2
+#: sharded bench timed.
+ENCODE_REGIMES = ((100_000, 512), (1_000_000, 128))
+SMOKE_ENCODE_REGIMES = ENCODE_REGIMES[:1]
+ENCODE_PAIRS = 10
+BACKEND = "numpy" if "numpy" in available_backends() else "pure"
 
 
 def build(n: int):
@@ -108,6 +131,116 @@ def test_runtime_table(benchmark, emit, emit_json):
 def test_runtime_smoke(benchmark, emit, emit_json):
     """The CI-sized sweep, n <= 4000 (``results/e7_runtime_smoke.*``)."""
     _record("e7_runtime_smoke", SMOKE_SIZES, benchmark, emit, emit_json)
+
+
+def serial_encode(reconciler: HierarchicalReconciler, points) -> bytes:
+    """The one-round encode with its level tables built one after another
+    in this thread: one key pass, then a table per level."""
+    config, grid = reconciler.config, reconciler.grid
+    key_pass = grid.vector_key_pass(points, config.sketch_levels)
+    if key_pass is not None:
+        level_keys = key_pass.keys
+    else:
+        level_keys = grid.level_keys(points, config.sketch_levels).__getitem__
+    levels = []
+    for level in config.sketch_levels:
+        table = IBLT(level_iblt_config(config, grid, level), backend=config.backend)
+        table.insert_many(level_keys(level))
+        levels.append(LevelSketch(level, table))
+    return HierarchySketch(len(points), levels).to_bytes()
+
+
+def encode_scaling(regimes) -> tuple[str, list[dict]]:
+    """Serial loop vs fanned-out encode, ``ENCODE_PAIRS`` alternating pairs
+    per regime (which side runs first alternates too)."""
+    table = Table(
+        ["n", "k", "serial (ms)", "fanned out (ms)", "speedup", "threads",
+         "pairs won", "same bytes"],
+        title=(
+            f"E7: one-round encode, serial level loop vs level fan-out  "
+            f"(delta=2^20, d=2, {BACKEND}, cpu_count={os.cpu_count()}, "
+            f"medians of {ENCODE_PAIRS} alternating pairs)"
+        ),
+    )
+    records: list[dict] = []
+    for n, k in regimes:
+        points = perturbed_pair(SEED, n, DELTA, 2, k // 2, 0, noise_model="none").alice
+        config = ProtocolConfig(
+            delta=DELTA, dimension=2, k=k, seed=SEED, backend=BACKEND
+        )
+        reconciler = HierarchicalReconciler(config)
+        same = serial_encode(reconciler, points) == reconciler.encode(points)
+        serial, fanned = [], []
+        for pair in range(ENCODE_PAIRS):
+            order = (serial_encode, None) if pair % 2 == 0 else (None, serial_encode)
+            for run in order:
+                start = time.perf_counter()
+                if run is None:
+                    reconciler.encode(points)
+                else:
+                    run(reconciler, points)
+                elapsed = 1e3 * (time.perf_counter() - start)
+                (fanned if run is None else serial).append(elapsed)
+        serial_ms = statistics.median(serial)
+        fanned_ms = statistics.median(fanned)
+        won = sum(f < s for s, f in zip(serial, fanned))
+        width = fan_out_width(config, n)
+        table.add_row([
+            n, k, f"{serial_ms:.0f}", f"{fanned_ms:.0f}",
+            f"{serial_ms / fanned_ms:.2f}x", width,
+            f"{won}/{ENCODE_PAIRS}", same,
+        ])
+        records.append(
+            {
+                "n": n,
+                "k": k,
+                "serial_ms": serial_ms,
+                "fanned_out_ms": fanned_ms,
+                "speedup": serial_ms / fanned_ms,
+                "threads": width,
+                "pairs_won": won,
+                "byte_identical": same,
+                "serial_samples_ms": serial,
+                "fanned_out_samples_ms": fanned,
+            }
+        )
+    return table.render(), records
+
+
+def _record_scaling(name, regimes, benchmark, emit, emit_json) -> None:
+    text, records = benchmark.pedantic(
+        lambda: encode_scaling(regimes), rounds=1, iterations=1, warmup_rounds=0
+    )
+    emit(name, text)
+    emit_json(
+        name,
+        {
+            "experiment": "e7-encode-scaling",
+            "delta_log2": 20,
+            "dimension": 2,
+            "backend": BACKEND,
+            "pairs": ENCODE_PAIRS,
+            "cpu_count": os.cpu_count(),
+            "rows": records,
+        },
+    )
+    assert all(record["byte_identical"] for record in records)
+
+
+def test_encode_scaling(benchmark, emit, emit_json):
+    """Encode at n = 1e5 and 1e6 (``results/e7_encode_scaling.*``)."""
+    _record_scaling(
+        "e7_encode_scaling", ENCODE_REGIMES, benchmark, emit, emit_json
+    )
+
+
+def test_encode_scaling_smoke(benchmark, emit, emit_json):
+    """The CI row, encode at n = 1e5 (``results/e7_encode_scaling_smoke.*``);
+    a record, not a gate: only the byte identity is asserted."""
+    _record_scaling(
+        "e7_encode_scaling_smoke", SMOKE_ENCODE_REGIMES, benchmark, emit,
+        emit_json,
+    )
 
 
 def test_encode_kernel(benchmark):

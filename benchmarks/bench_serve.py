@@ -52,8 +52,8 @@ from repro.core.adaptive import AdaptiveConfig, AdaptiveReconciler
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import HierarchicalReconciler
 from repro.iblt.backends import available_backends
-from repro.scale.engine import fork_available
 from repro.serve import ReconciliationServer, WorkerPoolServer, sync
+from repro.serve.pool import fork_available
 from repro.workloads.synthetic import perturbed_pair
 
 import pytest

@@ -3,9 +3,9 @@
 Three measurements over a real store directory:
 
 1. **Cold start** — time-to-serving for a server restarting over an
-   ``n``-point store: open the published snapshot and ``encode()``,
-   versus the storeless path (rebuild the sharded sketch from the raw
-   point list with ``insert_all`` and encode).  Recorded: both wall
+   ``n``-point store: open the published snapshot and encode the
+   one-round message, versus the storeless path (rebuild the incremental
+   sketch from the raw point list with ``insert_all`` and encode).  Recorded: both wall
    times, the snapshot size, and their ratio — the payoff durability
    buys on top of crash-safety.
 2. **WAL replay rate** — replay seconds, replayed MB/s and deltas/s
@@ -40,14 +40,13 @@ import time
 from benchmarks._harness import schema2_payload
 from repro.analysis.tables import Table
 from repro.core.config import ProtocolConfig
-from repro.scale.incremental import ShardedIncrementalSketch
+from repro.core.incremental import IncrementalSketch
 from repro.store import DurableSketchStore
 from repro.store.store import WAL_NAME
 from repro.workloads.synthetic import uniform_points
 
 DELTA = 2**16
 SEED = 0
-SHARDS = 4
 
 #: Recorded-run scale: the paper-regime n the serve benchmarks use.
 FULL_N = 1_000_000
@@ -56,9 +55,7 @@ BATCH_POINTS = 1_000
 
 
 def _config() -> ProtocolConfig:
-    return ProtocolConfig(
-        delta=DELTA, dimension=2, k=8, seed=SEED, shards=SHARDS
-    )
+    return ProtocolConfig(delta=DELTA, dimension=2, k=8, seed=SEED)
 
 
 def _timed(fn):
@@ -82,15 +79,15 @@ def experiment(n=FULL_N, batches=FULL_BATCHES, batch_points=BATCH_POINTS):
         (snap_store, open_snap_s) = _timed(
             lambda: DurableSketchStore.open(config, directory)
         )
-        _, encode_snap_s = _timed(snap_store.encode)
+        _, encode_snap_s = _timed(snap_store.one_round_encode)
 
         def from_scratch():
-            sketch = ShardedIncrementalSketch(config)
+            sketch = IncrementalSketch(config)
             sketch.insert_all(points)
             return sketch.encode()
 
         scratch_encoded, scratch_s = _timed(from_scratch)
-        assert snap_store.encode() == scratch_encoded
+        assert snap_store.one_round_encode() == scratch_encoded
         serving_store_s = open_snap_s + encode_snap_s
 
         # Phase 2: WAL growth + recovery correctness on the big store.
@@ -107,11 +104,11 @@ def experiment(n=FULL_N, batches=FULL_BATCHES, batch_points=BATCH_POINTS):
         assert recovery.n_points == n + len(live)
 
         def scratch_with_live():
-            sketch = ShardedIncrementalSketch(config)
+            sketch = IncrementalSketch(config)
             sketch.insert_all(points + live)
             return sketch.encode()
 
-        assert wal_store.encode() == scratch_with_live()
+        assert wal_store.one_round_encode() == scratch_with_live()
 
         # Phase 2b: replay rate, timed where replay dominates — a store
         # with a token-sized snapshot carrying the same WAL records.
@@ -205,7 +202,7 @@ def experiment(n=FULL_N, batches=FULL_BATCHES, batch_points=BATCH_POINTS):
         rows=rows,
         workload={
             "n": n, "delta": DELTA, "dimension": 2, "seed": SEED,
-            "shards": SHARDS, "batches": batches,
+            "batches": batches,
             "batch_points": batch_points,
         },
     )

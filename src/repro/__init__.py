@@ -30,20 +30,17 @@ on batch work (sketch construction, subtract, decode) for large inputs.
 Custom engines register via
 :func:`repro.iblt.backends.register_backend`.
 
-Scaling out
------------
-The sharded engine (:mod:`repro.scale`) splits the point space into
-``ProtocolConfig(shards=S)`` deterministic spatial shards, runs one
-sub-protocol per shard concurrently (threads for numpy, forked processes
-for pure, ``min(S, cpu_count)`` wide), and merges the per-shard repairs —
-bounded per-shard memory, multi-core encode/decode, and per-shard sketch
-sizing.  See
-:func:`repro.scale.reconcile_sharded` and
-:class:`repro.scale.ShardedIncrementalSketch`.
+Multi-core encode
+-----------------
+Alice's message is one IBLT per grid level, and the level tables are
+independent: with the numpy backend a large encode builds them on a
+thread pool ``min(levels, cpu_count)`` wide (see
+:func:`repro.core.sketch.build_level_sketches`).  Small inputs and the
+pure backend build inline.  The bytes are the same either way.
 
 Serving over a network
 ----------------------
-Every protocol variant — one-round, adaptive, sharded, and the rateless
+Every protocol variant — one-round, adaptive, and the rateless
 stream (:func:`repro.core.rateless.reconcile_rateless`, whose bytes track
 the *true* difference size with no estimation round) — is a sans-I/O
 session state machine
@@ -86,13 +83,6 @@ from repro.errors import (
 )
 from repro.net.channel import Direction, LoopbackChannel, SimulatedChannel
 from repro.net.transcript import Transcript
-from repro.scale import (
-    ShardedIncrementalSketch,
-    ShardedReconciler,
-    ShardedResult,
-    SpacePartitioner,
-    reconcile_sharded,
-)
 
 __version__ = "1.1.0"
 
@@ -124,12 +114,8 @@ __all__ = [
     "StoreCorruptError",
     "StoreError",
     "SyncRefusedError",
-    "ShardedIncrementalSketch",
-    "ShardedReconciler",
-    "ShardedResult",
     "ShiftedGridHierarchy",
     "SimulatedChannel",
-    "SpacePartitioner",
     "Transcript",
     "available_backends",
     "register_backend",
@@ -139,6 +125,5 @@ __all__ = [
     "reconcile",
     "reconcile_adaptive",
     "reconcile_rateless",
-    "reconcile_sharded",
     "__version__",
 ]

@@ -45,7 +45,6 @@ from repro.core.protocol import reconcile
 from repro.core.rateless import reconcile_rateless
 from repro.errors import ConfigError, ReproError
 from repro.iblt.backends import available_backends, backend_names
-from repro.scale import reconcile_sharded
 from repro.serve import (
     DEFAULT_TIMEOUT,
     ReconciliationServer,
@@ -95,9 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use the rateless streaming protocol (bytes track "
                           "the true difference; no estimation round)")
     rec.add_argument("--backend", **backend_kwargs)
-    rec.add_argument("--shards", type=int, default=1,
-                     help="spatial shards for the sharded engine (default: 1 "
-                          "= monolithic protocol)")
     rec.add_argument("--output", type=Path, default=None,
                      help="write the repaired set to this JSON path")
 
@@ -121,9 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=16)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--backend", **backend_kwargs)
-    serve.add_argument("--shards", type=int, default=1,
-                       help="shard count clients of the sharded variant "
-                            "must match")
     serve.add_argument("--workers", type=int, default=1,
                        help="pre-fork server worker processes (default: 1 = "
                             "single-process server, the exact pre-pool "
@@ -166,9 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="use the two-round adaptive variant")
     syn.add_argument("--rateless", action="store_true",
                      help="use the rateless streaming variant")
-    syn.add_argument("--shards", type=int, default=1,
-                     help=">1 selects the sharded variant (must match the "
-                          "server's --shards)")
     syn.add_argument("--backend", **backend_kwargs)
     syn.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
     syn.add_argument("--retries", type=int, default=1,
@@ -228,22 +218,12 @@ def cmd_generate(args) -> int:
 
 
 def _select_variant(args) -> str:
-    """Shared ``--adaptive``/``--rateless``/``--shards`` dispatch
-    (reconcile and sync)."""
-    picked = [
-        flag for flag, on in (
-            ("--adaptive", args.adaptive),
-            ("--rateless", args.rateless),
-            ("--shards", args.shards > 1),
-        ) if on
-    ]
-    if len(picked) > 1:
+    """Shared ``--adaptive``/``--rateless`` dispatch (reconcile and sync)."""
+    if args.adaptive and args.rateless:
         raise ReproError(
-            f"{' and '.join(picked)} are mutually exclusive: pick one "
+            "--adaptive and --rateless are mutually exclusive: pick one "
             "protocol variant"
         )
-    if args.shards > 1:
-        return "sharded"
     if args.rateless:
         return "rateless"
     return "adaptive" if args.adaptive else "one-round"
@@ -264,12 +244,9 @@ def cmd_reconcile(args) -> int:
     variant = _select_variant(args)
     config = ProtocolConfig(
         delta=data["delta"], dimension=data["dimension"], k=args.k,
-        seed=args.seed, backend=args.backend, shards=args.shards,
+        seed=args.seed, backend=args.backend,
     )
-    if variant == "sharded":
-        runner = reconcile_sharded
-        protocol = f"sharded one-round ({args.shards} shards)"
-    elif variant == "adaptive":
+    if variant == "adaptive":
         runner = reconcile_adaptive
         protocol = "adaptive 2-round"
     elif variant == "rateless":
@@ -282,11 +259,7 @@ def cmd_reconcile(args) -> int:
     print(f"protocol : {protocol}")
     print(f"backend  : {config.backend}")
     print(f"message  : {result.transcript.describe()}")
-    if args.shards > 1:
-        print(f"levels   : {result.shard_levels} per shard "
-              f"(coarsest cell side {2 ** result.level})")
-    else:
-        print(f"level    : {result.level} (cell side {2 ** result.level})")
+    print(f"level    : {result.level} (cell side {2 ** result.level})")
     print(f"repair   : +{result.alice_surplus} centres, "
           f"-{result.bob_surplus} points")
     print(f"|S'_B|   : {len(result.repaired)}")
@@ -327,7 +300,7 @@ def cmd_serve(args) -> int:
     data = _load_workload(args.workload)
     config = ProtocolConfig(
         delta=data["delta"], dimension=data["dimension"], k=args.k,
-        seed=args.seed, backend=args.backend, shards=args.shards,
+        seed=args.seed, backend=args.backend,
     )
     points = data["alice"]
     if args.workers < 1:
@@ -398,9 +371,8 @@ def cmd_serve(args) -> int:
                 if args.workers > 1 else "single process"
             )
             print(f"serving {len(points)} points on {host}:{port} "
-                  f"(k={args.k}, seed={args.seed}, shards={args.shards}, "
-                  f"{mode}; "
-                  f"variants: one-round, adaptive, sharded, rateless)",
+                  f"(k={args.k}, seed={args.seed}, {mode}; "
+                  f"variants: one-round, adaptive, rateless)",
                   flush=True)
             if store_line is not None:
                 print(store_line, flush=True)
@@ -440,7 +412,7 @@ def cmd_sync(args) -> int:
     variant = _select_variant(args)
     config = ProtocolConfig(
         delta=data["delta"], dimension=data["dimension"], k=args.k,
-        seed=args.seed, backend=args.backend, shards=args.shards,
+        seed=args.seed, backend=args.backend,
     )
     if args.retries > 1:
         policy = RetryPolicy(

@@ -6,9 +6,9 @@ Everything a run needs — the grid geometry, the IBLT shape, the budget
 parameter ``k`` — lives here and is validated once, up front.
 
 Every protocol variant shares this one config: the one-round hierarchy
-sketch, the sharded engine (``shards``), the adaptive two-round variant
-(plus :class:`~repro.core.adaptive.AdaptiveConfig`), and the rateless
-stream (plus :class:`~repro.core.rateless.RatelessConfig`, whose segment
+sketch, the adaptive two-round variant (plus
+:class:`~repro.core.adaptive.AdaptiveConfig`), and the rateless stream
+(plus :class:`~repro.core.rateless.RatelessConfig`, whose segment
 schedule is seeded from this config's public coins).
 """
 
@@ -67,12 +67,6 @@ class ProtocolConfig:
         available engine per table and falls back to the pure-Python
         reference; all backends are bit-compatible on the wire, so the two
         parties may configure this independently.
-    shards:
-        Number of spatial shards the sharded engine splits the point space
-        into (see :mod:`repro.scale`).  ``1`` (default) is the classic
-        monolithic protocol.  The shard map is derived from the public coins,
-        so both parties agree with no extra communication; like ``k`` it is
-        part of the wire contract and must match on both sides.
     """
 
     delta: int
@@ -87,7 +81,6 @@ class ProtocolConfig:
     levels: tuple[int, ...] | None = field(default=None)
     random_shift: bool = True
     backend: str = "auto"
-    shards: int = 1
 
     def __post_init__(self) -> None:
         if self.delta < 2:
@@ -115,8 +108,6 @@ class ProtocolConfig:
         validate_metric(self.metric)
         if self.backend != "auto":
             get_backend(self.backend)  # raises ConfigError if unknown/unavailable
-        if self.shards < 1:
-            raise ConfigError(f"shards must be >= 1, got {self.shards}")
         if self.levels is not None:
             if not self.levels:
                 raise ConfigError(

@@ -147,23 +147,13 @@ class IncrementalSketch:
         point is validated first: a ``CapacityExceeded`` (full occupancy
         field) or ``ReconciliationFailure`` (remove from an empty cell)
         plans nothing, and names the first point, in batch order, that a
-        point-by-point run would have failed on.
-        """
-        planned, failure = self._plan(list(points), sign)
-        if failure is not None:
-            raise failure[1]
-        return planned
-
-    def _plan(self, points: list[Point], sign: int):
-        """:meth:`plan` returning ``(planned, failure)`` instead of raising.
-
-        ``failure`` is ``None`` or ``(index, error)`` for the first failing
-        point, so the sharded sketch can pick the earliest failure across
-        shards.  Ranks follow batch order: a point sees the live count of
-        its cell plus every earlier point of the batch in that cell.
+        point-by-point run would have failed on.  Ranks follow batch order:
+        a point sees the live count of its cell plus every earlier point of
+        the batch in that cell.
         """
         if sign not in (1, -1):
             raise ConfigError(f"a batch sign is +1 or -1, got {sign}")
+        points = list(points)
         occ_bits = self.grid.occupancy_bits
         levels = self.config.sketch_levels
         cell_ids = self.grid.cell_ids(points, levels)
@@ -179,20 +169,18 @@ class IncrementalSketch:
                 continue
             planned.append((level, keys, [sign] * len(keys)))
         if failure is None:
-            return planned, None
+            return planned
         index, level = failure
         point = points[index]
         cell = self.grid.cell(point, level)
         if sign > 0:
-            error = CapacityExceeded(
+            raise CapacityExceeded(
                 f"cell {cell} at level {level} "
                 f"exceeds the {occ_bits}-bit occupancy field"
             )
-        else:
-            error = ReconciliationFailure(
-                f"remove of {point}: cell {cell} at level {level} is empty"
-            )
-        return [], (index, error)
+        raise ReconciliationFailure(
+            f"remove of {point}: cell {cell} at level {level} is empty"
+        )
 
     def apply(self, planned) -> None:
         """Land planned key deltas: one signed backend batch and one count
@@ -251,11 +239,13 @@ class IncrementalSketch:
 
         Only meaningful on a freshly constructed (empty) sketch; the
         columns must come from a table of this level's exact config, as
-        produced by the matching dump.  ``n_points`` is restored
-        separately via :meth:`restore_n_points`.
+        produced by the matching dump.  The sketch keeps ``cell_counts``
+        itself (no copy), so the caller hands over a dict it no longer
+        uses.  ``n_points`` is restored separately via
+        :meth:`restore_n_points`.
         """
         self._tables[level]._backend.load_rows(counts, key_sums, check_sums)
-        self._cell_counts[level] = dict(cell_counts)
+        self._cell_counts[level] = cell_counts
 
     def restore_n_points(self, n_points: int) -> None:
         """Set the point count to a snapshot's recorded value."""

@@ -24,7 +24,7 @@ into a typed :class:`~repro.errors.ReconciliationFailure` instead of an
 unbounded stream.
 
 Robustness comes from reconciling at a single fixed grid level (default:
-the finest), like one shard of the one-round hierarchy; the repair planner
+the finest), like one level of the one-round hierarchy; the repair planner
 then treats recovered cell keys exactly as the other variants do.
 """
 

@@ -20,7 +20,7 @@ class BackendUnavailableError(ReproError):
     """An accelerated code path was requested but its dependency is missing.
 
     Raised by numpy-only bulk primitives (``TabulationHash.hash_many``,
-    ``SpacePartitioner.shard_id_array``, ...) when numpy is not importable.
+    ...) when numpy is not importable.
     Callers that gate on availability never see it; callers that forgot to
     gate get a typed error instead of a bare ``RuntimeError``.
     """

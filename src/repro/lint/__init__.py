@@ -5,7 +5,7 @@ sessions and codecs are sans-I/O (PR 4), numpy is an optional extra with
 bit-identical pure fallbacks (PRs 1/5), all protocol randomness derives
 from the shared public-coin seed, library errors flow through the
 ``ReproError`` hierarchy, wire magic bytes are single-sourced, backends
-honour the full primitive contract, and shard tasks stay executor-safe.
+honour the full primitive contract, and fan-out tasks stay executor-safe.
 ``repro.lint`` checks them mechanically on every PR::
 
     python -m repro.lint src/repro              # text output
@@ -22,7 +22,7 @@ RPL004 determinism             public-coin randomness only, no clocks
 RPL005 wire-magic-uniqueness   magic bytes defined once, never re-typed
 RPL006 backend-contract        registered backends implement the full
                                primitive set, signature-compatibly
-RPL007 executor-safety         shard tasks mutate no shared state
+RPL007 executor-safety         fan-out tasks mutate no shared state
 ====== ======================= ==========================================
 
 Meta-codes: ``RPL900`` malformed waiver, ``RPL901`` stale waiver,

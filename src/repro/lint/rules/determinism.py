@@ -2,7 +2,7 @@
 
 The paper's guarantees assume both parties draw their randomly-shifted
 grids, tabulation tables, and hash salts from a *shared* seed; the wire
-format, shard placement, and golden transcripts are all reproducible
+format, the level sketches, and golden transcripts are all reproducible
 functions of that seed.  Any ambient entropy in protocol code — unseeded
 ``random`` module functions, ``os.urandom``, ``secrets``,
 ``random.SystemRandom`` — or any wall-clock read silently breaks

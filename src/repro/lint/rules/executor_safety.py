@@ -1,17 +1,18 @@
-"""RPL007 — functions submitted to shard executors must not mutate shared
-state.
+"""RPL007 — functions submitted to the encode's executor must not mutate
+shared state.
 
-The sharded engine maps one task per shard inline, over a thread pool or
-over a process pool (see ``_fan_out`` in :mod:`repro.scale.engine`).  The
-same task function must be correct under all three, which it is only when it communicates through
-its arguments and return value alone: a task that mutates a module global
-or a closed-over mutable is a data race under the thread pool and a
-silent no-op under the process pool (the mutation happens in the worker's
-copy) — both far nastier to debug than this rule is to satisfy.
+Alice's encode builds one IBLT per grid level as one task each, run
+inline or over a thread pool (see ``build_level_sketches`` and its
+``_build_level`` task in :mod:`repro.core.sketch`).  The same task
+function must be correct both ways, which it is only when it communicates
+through its arguments and return value alone: a task that mutates a
+module global or a closed-over mutable is a data race under the thread
+pool, and one that passes inline can still corrupt a table when threaded
+— far nastier to debug than this rule is to satisfy.
 
 This is a race-detector-*lite*: it analyses the body of every function
 whose *name* is passed to a ``.map(...)`` / ``.submit(...)`` call inside
-``scale/`` (plus lambdas submitted inline), flagging
+``core/sketch.py`` (plus lambdas submitted inline), flagging
 
 * ``global`` / ``nonlocal`` declarations,
 * stores through subscripts or attributes whose base name is not bound
@@ -33,8 +34,8 @@ from repro.lint.project import Project, SourceModule
 CODE = "RPL007"
 NAME = "executor-safety"
 DESCRIPTION = (
-    "functions submitted to scale/ executor pools must not mutate module "
-    "globals or closed-over mutables"
+    "level tasks submitted to core/sketch.py's executor must not mutate "
+    "module globals or closed-over mutables"
 )
 
 #: Method names that mutate their receiver in place.
@@ -46,7 +47,8 @@ MUTATING_METHODS = frozenset(
     }
 )
 
-_SCOPE_PREFIX = "scale/"
+#: The one module that fans work out to an executor.
+_SCOPE_PREFIX = "core/sketch.py"
 
 
 def check(project: Project) -> list[Finding]:
@@ -149,7 +151,7 @@ def _analyse(
                 CODE,
                 lineno,
                 f"{label} (submitted to an executor at line {call_line}) "
-                f"{message}; shard tasks must communicate only through "
+                f"{message}; executor tasks must communicate only through "
                 "arguments and return values",
                 rule=NAME,
             )

@@ -1,7 +1,7 @@
 """RPL005 — wire magic bytes are defined once and imported, never re-typed.
 
-Every framed payload opens with a one-byte magic (``0xB5`` sketch, ``0xB6``
-shard frame, ``0xB7`` level sketch, ``0xAD``/``0xAE`` adaptive rounds,
+Every framed payload opens with a one-byte magic (``0xB5`` sketch, ``0xB7``
+level sketch, ``0xAD``/``0xAE`` adaptive rounds,
 ``0xC7`` rateless increment, ``0xC8`` rateless ack).  Each value must be
 bound to exactly one ``*_MAGIC`` module constant, and every other mention
 must reference that name: a re-typed hex literal is how two frame types end

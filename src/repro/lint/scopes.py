@@ -24,10 +24,8 @@ SANS_IO = (
 )
 
 #: Protocol code whose behaviour must be a pure function of inputs and the
-#: shared public-coin seed: the sans-I/O set plus the sharded engine (its
-#: shard placement and wire bytes are part of the protocol; its shard pools
-#: only affect scheduling).
-PROTOCOL = SANS_IO + ("scale/",)
+#: shared public-coin seed: the sans-I/O set.
+PROTOCOL = SANS_IO
 
 #: The one module allowed to assume numpy exists at *use* time (it is the
 #: numpy backend); even it must keep the import itself guarded because the

@@ -61,9 +61,7 @@ STALE_RESUME_CODE = "stale-resume"
 
 #: ProtocolConfig fields that shape wire bytes (the public-coin contract).
 #: The private ``backend`` knob is deliberately absent: peers may differ
-#: on it.  ``shards`` is added only for the sharded variant (it frames the
-#: wire there and is ignored everywhere else, so a sharded server can
-#: still serve one-round peers).
+#: on it.
 _WIRE_FIELDS = (
     "delta", "dimension", "k", "q", "occupancy_bits", "checksum_bits",
     "seed", "diff_margin", "metric", "levels", "random_shift",
@@ -93,8 +91,6 @@ def config_digest(
     record = {name: getattr(config, name) for name in _WIRE_FIELDS}
     if record["levels"] is not None:
         record["levels"] = list(record["levels"])
-    if variant == "sharded":
-        record["shards"] = config.shards
     if variant == "adaptive":
         adaptive = adaptive or AdaptiveConfig()
         record["adaptive"] = {

@@ -62,7 +62,6 @@ from repro.core.adaptive import AdaptiveConfig
 from repro.core.config import ProtocolConfig
 from repro.core.rateless import RatelessConfig
 from repro.errors import ConfigError, SessionError
-from repro.scale.engine import fork_available
 from repro.serve.service import (
     DEFAULT_SESSION_DEADLINE,
     DEFAULT_TIMEOUT,
@@ -78,6 +77,11 @@ LISTEN_BACKLOG = 512
 
 #: How often the parent drains stats pipes and checks worker health.
 MONITOR_INTERVAL = 0.05
+
+
+def fork_available() -> bool:
+    """True when the ``fork`` start method exists (POSIX)."""
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def reuse_port_available() -> bool:
@@ -335,11 +339,12 @@ class WorkerPoolServer:
             old.close()
         self._conns[index] = parent_conn
         self._ready[index] = False
-        # Not daemonic: a daemonic process may not start children of its
-        # own, and a worker's sharded engine forks a process pool for a
-        # pure-backend encode.
-        # Orphan protection comes from the worker's parent watcher
-        # instead (see _worker_serve).
+        # Not daemonic, although no worker code starts processes of its
+        # own (the sketch encode fans out on threads).  The pool's drain,
+        # restart and orphan handling are built and tested around
+        # non-daemonic workers: SIGTERM drains each one, and orphan
+        # protection comes from the worker's parent watcher (see
+        # _worker_serve).
         process = self._ctx.Process(
             target=_worker_main,
             args=(

@@ -43,7 +43,6 @@ from repro.errors import (
 )
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
-from repro.scale.engine import ShardedReconciler
 from repro.serve import handshake
 from repro.serve.frames import read_frame, write_frame
 from repro.session import VARIANTS, make_session
@@ -298,7 +297,6 @@ class ServerCore:
             "adaptive": lambda: AdaptiveReconciler(
                 self.config, self.adaptive, reuse_alice_state=True
             ),
-            "sharded": lambda: ShardedReconciler(self.config),
             "rateless": lambda: RatelessReconciler(
                 self.config, self.rateless, reuse_alice_state=True
             ),
@@ -317,13 +315,7 @@ class ServerCore:
         encode (the store's differential contract), minus the encode.
         """
         if variant not in self._encoded:
-            if self.store is not None and variant == "sharded":
-                self._encoded[variant] = self.store.encode()
-            elif (
-                self.store is not None
-                and variant == "one-round"
-                and self.config.shards == 1
-            ):
+            if self.store is not None and variant == "one-round":
                 self._encoded[variant] = self.store.one_round_encode()
             else:
                 self._encoded[variant] = self.reconciler(variant).encode(
@@ -334,7 +326,7 @@ class ServerCore:
     def session_for(self, variant: str, start_index: int = 0) -> Session:
         """Build one connection's Alice session over the shared caches."""
         kwargs = {"reconciler": self.reconciler(variant)}
-        if variant in ("one-round", "sharded"):
+        if variant == "one-round":
             kwargs["encoded"] = self.encoded(variant)
         if variant == "rateless":
             kwargs["start_index"] = start_index
@@ -357,7 +349,7 @@ class ServerCore:
         for variant in variants:
             self.digest(variant)
             reconciler = self.reconciler(variant)
-            if variant in ("one-round", "sharded"):
+            if variant == "one-round":
                 self.encoded(variant)
             if hasattr(reconciler, "warm_alice"):
                 if variant == "rateless":
@@ -877,10 +869,9 @@ async def sync(
 ):
     """Sync this process's points (as Bob) against a server (Alice).
 
-    Returns the variant's result object
-    (:class:`~repro.core.protocol.ReconcileResult` or
-    :class:`~repro.scale.engine.ShardedResult`) with a measured transcript
-    attached.  Handshake refusals, disconnects, and timeouts raise
+    Returns the variant's result object (a
+    :class:`~repro.core.protocol.ReconcileResult`) with a measured
+    transcript attached.  Handshake refusals, disconnects, and timeouts raise
     :class:`~repro.errors.SessionError`; an overloaded server raises
     :class:`~repro.errors.ServerOverloadedError` carrying its
     retry-after hint.

@@ -1,6 +1,6 @@
 """Sans-I/O protocol session machines (the transport-independent layer).
 
-Every protocol variant — one-round, adaptive, sharded, rateless — is
+Every protocol variant — one-round, adaptive, rateless — is
 expressed as a
 pair of :class:`~repro.session.base.Session` state machines that consume
 and produce exact payload bytes with no transport attached.  The public
@@ -19,10 +19,9 @@ from repro.session.rateless import (
     RatelessBobSession,
     RatelessResumeState,
 )
-from repro.session.sharded import ShardedSession
 
 #: Variant names accepted by the session factories and the serve handshake.
-VARIANTS = ("one-round", "adaptive", "sharded", "rateless")
+VARIANTS = ("one-round", "adaptive", "rateless")
 
 
 def make_session(variant: str, role: str, config, points, **kwargs) -> Session:
@@ -46,8 +45,6 @@ def make_session(variant: str, role: str, config, points, **kwargs) -> Session:
         if role == "alice":
             kwargs.pop("strategy", None)
         return cls(config, points, **kwargs)
-    if variant == "sharded":
-        return ShardedSession(config, points, role=role, **kwargs)
     if variant == "rateless":
         cls = RatelessAliceSession if role == "alice" else RatelessBobSession
         if role == "alice":
@@ -69,7 +66,6 @@ __all__ = [
     "RatelessBobSession",
     "RatelessResumeState",
     "Session",
-    "ShardedSession",
     "VARIANTS",
     "make_session",
     "pump",

@@ -61,9 +61,8 @@ class Done:
         Outbound messages to transmit before hanging up (may be empty).
     result:
         The endpoint's outcome — a
-        :class:`~repro.core.protocol.ReconcileResult` /
-        :class:`~repro.scale.engine.ShardedResult` on Bob's side, ``None``
-        on Alice's (she learns nothing in these one-way repairs).
+        :class:`~repro.core.protocol.ReconcileResult` on Bob's side,
+        ``None`` on Alice's (she learns nothing in these one-way repairs).
     """
 
     messages: tuple[OutboundMessage, ...] = ()

@@ -1,7 +1,7 @@
 """Durable reconciliation store: crash-safe sketch persistence.
 
 The serve layer keeps every sketch in RAM; this package makes the
-sharded incremental sketch survive ``kill -9``.  The design is the
+incremental one-round sketch survive ``kill -9``.  The design is the
 classic WAL + snapshot pair, specialised to the protocol's xor-merge
 cell algebra:
 

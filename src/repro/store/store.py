@@ -3,8 +3,8 @@
 Ties the pieces together around one invariant: **WAL before ack**.  A
 batch update plans the whole batch against the live sketch (each
 point's rank counts the live cell plus the batch's earlier points;
-every level validated, nothing mutated), frames the per-(shard, level)
-key groups into a single CRC'd record, appends and fsyncs it, and only
+every level validated, nothing mutated), frames the per-level key
+groups into a single CRC'd record, appends and fsyncs it, and only
 then applies each group in memory as one signed IBLT batch and
 returns.  A batch the caller saw acknowledged therefore survives any
 crash; a batch interrupted mid-append is wholly in or wholly out (the
@@ -15,13 +15,15 @@ Recovery (:meth:`DurableSketchStore.open` on a non-empty directory):
 1. load the newest published snapshot (CRC + config digest checked) —
    or start from an empty sketch when none exists;
 2. scan the WAL, stop at the first record that fails to frame or
-   checksum, truncate that torn tail durably;
+   checksum, truncate that torn tail durably (a clean record of another
+   layout version is refused typed instead — it is acknowledged data);
 3. replay, in log order, every record whose generation matches the
    snapshot's — through the same group-wise apply a live batch uses;
    older generations are already folded into the snapshot and are
    skipped.
 
-The result is bit-identical — ``encode()`` and all — to a fresh sketch
+The result is bit-identical — :meth:`DurableSketchStore.one_round_encode`
+and all — to a fresh sketch
 of the acknowledged points, which the differential crash matrix
 (``tests/test_store_recovery.py``) proves at every kill point, and a
 second recovery of a recovered store is a fixpoint.
@@ -38,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.core.config import ProtocolConfig
+from repro.core.incremental import IncrementalSketch
 from repro.errors import ConfigError, StoreCorruptError
-from repro.scale.incremental import ShardedIncrementalSketch
 from repro.serve.handshake import config_digest
 from repro.store import snapshot as snapshot_codec
 from repro.store import wal as wal_codec
@@ -86,19 +88,19 @@ class RecoveryInfo:
 
 
 class DurableSketchStore:
-    """A :class:`~repro.scale.incremental.ShardedIncrementalSketch`
-    whose updates survive ``kill -9``.
+    """A :class:`~repro.core.incremental.IncrementalSketch` whose
+    updates survive ``kill -9``.
 
     Build via :meth:`open`; mutate via :meth:`insert_batch` /
     :meth:`remove_batch` / :meth:`bulk_load`; read via :attr:`sketch`
-    (treat as read-only) and :meth:`encode`.
+    (treat as read-only) and :meth:`one_round_encode`.
     """
 
     def __init__(
         self,
         config: ProtocolConfig,
         storage,
-        sketch: ShardedIncrementalSketch,
+        sketch: IncrementalSketch,
         generation: int,
         recovery: RecoveryInfo,
         *,
@@ -110,7 +112,7 @@ class DurableSketchStore:
         self.generation = generation
         self.recovery = recovery
         self.snapshot_every_bytes = snapshot_every_bytes
-        self._digest = config_digest(config, "sharded")
+        self._digest = config_digest(config, "one-round")
         self._wal_bytes = 0
 
     @classmethod
@@ -131,7 +133,7 @@ class DurableSketchStore:
         """
         if storage is None:
             storage = OsStorage(directory)
-        digest = config_digest(config, "sharded")
+        digest = config_digest(config, "one-round")
         snap_bytes = storage.read(SNAPSHOT_NAME)
         if snap_bytes is not None:
             sketch, generation = snapshot_codec.load_snapshot(
@@ -139,7 +141,7 @@ class DurableSketchStore:
             )
             source = "snapshot"
         else:
-            sketch, generation = ShardedIncrementalSketch(config), 0
+            sketch, generation = IncrementalSketch(config), 0
             source = "fresh"
         wal_bytes = storage.read(WAL_NAME)
         records, clean_len = wal_codec.scan_records(wal_bytes or b"")
@@ -160,7 +162,7 @@ class DurableSketchStore:
             groups = wal_codec.decode_deltas(sketch, payload)
             sketch.apply(groups)
             replayed_records += 1
-            replayed_deltas += sum(len(keys) for _, _, keys, _ in groups)
+            replayed_deltas += sum(len(keys) for _, keys, _ in groups)
         if replayed_records:
             source = "wal" if source == "fresh" else "snapshot+wal"
         if wal_bytes is None:
@@ -264,13 +266,6 @@ class DurableSketchStore:
         self.generation += 1
         self._wal_bytes = 0
 
-    def encode(self) -> bytes:
-        """The live sharded wire message (bit-identical to fresh encode)."""
-        return self.sketch.encode()
-
     def one_round_encode(self) -> bytes:
-        """The live one-round message (``shards == 1`` stores only)."""
-        shards = self.sketch.shard_sketches()
-        if len(shards) != 1:
-            raise ConfigError("one-round payload requires a single-shard store")
-        return shards[0].encode()
+        """The live one-round message (bit-identical to a fresh encode)."""
+        return self.sketch.encode()

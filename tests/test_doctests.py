@@ -19,8 +19,6 @@ MODULE_NAMES = [
     "repro.emd.onedim",
     "repro.gf.field",
     "repro.net.bits",
-    "repro.scale.engine",
-    "repro.scale.incremental",
 ]
 
 

@@ -29,7 +29,6 @@ from repro.core.protocol import HierarchicalReconciler
 from repro.core.rateless import reconcile_rateless
 from repro.iblt.backends import available_backends
 from repro.net.channel import SimulatedChannel
-from repro.scale import ShardedIncrementalSketch, reconcile_sharded
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BACKENDS = available_backends()
@@ -65,7 +64,6 @@ def _scenarios():
     # Sized so the default rateless schedule needs >= 2 increments: the
     # symmetric difference at level 0 exceeds segment 0's peel capacity.
     rl_alice, rl_bob = _perturbed_points(2, 120, 2048, 2, moved=18, drop=4)
-    sh_alice, sh_bob = _perturbed_points(6, 60, 2048, 2, moved=30, drop=2)
     return [
         ("one_round_d1_tiny", "one-round",
          dict(delta=256, dimension=1, k=2, seed=7), small_alice, small_bob),
@@ -81,9 +79,6 @@ def _scenarios():
          dict(delta=512, dimension=1, k=6, seed=21), inc_alice, inc_bob),
         ("rateless_streaming", "rateless",
          dict(delta=2048, dimension=2, k=10, seed=17), rl_alice, rl_bob),
-        ("sharded_noisy", "sharded",
-         dict(delta=2048, dimension=2, k=3, seed=11, shards=3),
-         sh_alice, sh_bob),
     ]
 
 
@@ -103,15 +98,6 @@ def _run(protocol, config, alice, bob):
             for index, message in enumerate(channel.messages)
         }
         channel.close()
-    elif protocol == "sharded":
-        channel = SimulatedChannel()
-        result = reconcile_sharded(alice, bob, config, channel=channel)
-        (message,) = channel.messages
-        channel.close()
-        sketch = ShardedIncrementalSketch(config)
-        sketch.insert_all(alice)
-        assert sketch.encode() == message.payload
-        messages = {message.label: message.payload.hex()}
     else:
         reconciler = HierarchicalReconciler(config)
         if protocol == "incremental":
@@ -132,9 +118,6 @@ def _run(protocol, config, alice, bob):
         "bob_surplus": result.bob_surplus,
         "repaired": sorted([list(p) for p in result.repaired]),
     }
-    if protocol == "sharded":
-        outcome["shard_levels"] = result.shard_levels
-        outcome["levels_probed"] = result.levels_probed
     return messages, outcome
 
 
@@ -194,7 +177,7 @@ def test_fixture_count_covers_protocols():
     assert fixtures, _MISSING
     assert 4 <= len(fixtures) <= 8
     assert {fixture["protocol"] for fixture in fixtures} == {
-        "one-round", "adaptive", "incremental", "rateless", "sharded"
+        "one-round", "adaptive", "incremental", "rateless"
     }
 
 

@@ -1,12 +1,12 @@
 """Batched sketch maintenance against a sequential per-point oracle.
 
 Incremental sketches and the durable store plan a whole batch, then land
-each (shard, level) as one signed IBLT batch.  The contract checked here:
+each level as one signed IBLT batch.  The contract checked here:
 
 * after every batch, ``encode()``, every level's ``level_cell_counts`` and
   ``n_points`` equal those of an oracle that applies the same points one
   at a time, one scalar IBLT update per (point, level) — across the pure
-  and numpy backends and one or two shards, with in-batch duplicates,
+  and numpy backends and one or two dimensions, with in-batch duplicates,
   points landing in occupied cells and removes that empty cells;
 * a batch that fails planning (a full occupancy field, a remove from a
   cell the batch empties) raises typed and changes nothing: not the
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -35,10 +34,6 @@ from repro.errors import (
 )
 from repro.iblt.backends import available_backends
 from repro.iblt.table import IBLT
-from repro.scale.engine import shard_protocol_config
-from repro.scale.incremental import ShardedIncrementalSketch
-from repro.scale.partition import SpacePartitioner
-from repro.scale.wire import write_frame
 from repro.store import DurableSketchStore, MemStorage
 from repro.store import wal as wal_codec
 from repro.store.store import WAL_NAME
@@ -47,8 +42,8 @@ BACKENDS = [name for name in ("pure", "numpy") if name in available_backends()]
 
 
 class PerPointOracle:
-    """One shard's hierarchy maintained a point at a time: validate every
-    level, then one scalar ``IBLT.insert`` / ``delete`` per level."""
+    """The hierarchy maintained a point at a time: validate every level,
+    then one scalar ``IBLT.insert`` / ``delete`` per level."""
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
@@ -106,50 +101,27 @@ class PerPointOracle:
         ).to_bytes()
 
 
-class ShardedOracle:
-    """Per-point oracle of :class:`ShardedIncrementalSketch`."""
-
-    def __init__(self, config: ProtocolConfig):
-        self.config = config
-        self.partitioner = SpacePartitioner(config)
-        self.shards = [
-            PerPointOracle(shard_protocol_config(config))
-            for _ in range(config.shards)
-        ]
-
-    def insert(self, point) -> None:
-        self.shards[self.partitioner.shard_of(point)].insert(point)
-
-    def remove(self, point) -> None:
-        self.shards[self.partitioner.shard_of(point)].remove(point)
-
-    def encode(self) -> bytes:
-        return write_frame(
-            self.config.shards,
-            self.partitioner.level,
-            [shard.n_points for shard in self.shards],
-            [shard.encode() for shard in self.shards],
-        )
-
-
-def _config(backend: str, shards: int = 1, **overrides) -> ProtocolConfig:
+def _config(backend: str, dimension: int = 2, **overrides) -> ProtocolConfig:
     return ProtocolConfig(
-        delta=64, dimension=2, k=4, seed=5, shards=shards, backend=backend,
+        delta=64, dimension=dimension, k=4, seed=5, backend=backend,
         **overrides,
     )
 
 
-def _batches() -> list[tuple[str, list]]:
+def _batches(dimension: int = 2) -> list[tuple[str, list]]:
     """Insert/remove batches over a small pool of points: in-batch
     duplicates, later batches landing in occupied cells, and removes that
     empty cells (every copy of a point, and whole fine cells)."""
     rng = random.Random(17)
-    pool = [(rng.randrange(64), rng.randrange(64)) for _ in range(12)]
+    pool = [
+        tuple(rng.randrange(64) for _ in range(dimension)) for _ in range(12)
+    ]
+    corner, far = (3,) * dimension, (63,) * dimension
     first = [rng.choice(pool) for _ in range(40)]
-    second = [rng.choice(pool) for _ in range(25)] + [(3, 3)] * 4
-    emptied = sorted(set(first))[:3]
+    second = [rng.choice(pool) for _ in range(25)] + [corner] * 4
+    emptied = sorted(set(first) - {corner})[:3]
     remove_all = [p for p in first + second if p in emptied]
-    remove_some = second[:10]
+    remove_some = [p for p in second if p not in emptied][:10]
     refill = [rng.choice(pool) for _ in range(15)] + emptied
     return [
         ("insert", first),
@@ -157,77 +129,65 @@ def _batches() -> list[tuple[str, list]]:
         ("remove", remove_all),
         ("remove", remove_some),
         ("insert", refill),
-        ("insert", [(63, 63)]),
-        ("remove", [(63, 63), (3, 3)]),
+        ("insert", [far]),
+        ("remove", [far, corner]),
     ]
 
 
-def _assert_matches(sketch, oracle_shards, encode_oracle) -> None:
-    assert sketch.encode() == encode_oracle
-    for shard, oracle in zip(sketch.shard_sketches(), oracle_shards):
-        assert shard.n_points == oracle.n_points
-        for level in shard.config.sketch_levels:
-            assert shard.level_cell_counts(level) == oracle.counts[level]
+def _assert_matches(sketch, oracle) -> None:
+    assert sketch.encode() == oracle.encode()
+    assert sketch.n_points == oracle.n_points
+    for level in sketch.config.sketch_levels:
+        assert sketch.level_cell_counts(level) == oracle.counts[level]
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_batches_match_per_point_oracle(backend, shards):
-    config = _config(backend, shards)
-    sketch = ShardedIncrementalSketch(config)
-    oracle = ShardedOracle(config)
-    single = IncrementalSketch(config) if shards == 1 else None
-    for kind, batch in _batches():
+def test_batches_match_per_point_oracle(backend, dimension):
+    config = _config(backend, dimension)
+    sketch = IncrementalSketch(config)
+    oracle = PerPointOracle(config)
+    for kind, batch in _batches(dimension):
         for point in batch:
             getattr(oracle, kind)(point)
         if kind == "insert":
             sketch.insert_all(batch)
         else:
             sketch.apply(sketch.plan(batch, -1))
-        _assert_matches(sketch, oracle.shards, oracle.encode())
-        assert sketch.n_points == sum(s.n_points for s in oracle.shards)
-        if single is not None:
-            if kind == "insert":
-                single.insert_all(batch)
-            else:
-                single.apply(single.plan(batch, -1))
-            assert single.encode() == oracle.shards[0].encode()
-            assert single.n_points == oracle.shards[0].n_points
+        _assert_matches(sketch, oracle)
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_store_batches_and_replay_match_oracle(backend, shards):
+def test_store_batches_and_replay_match_oracle(backend, dimension):
     """The store's batch path (plan, WAL, apply) and its WAL replay both
     land on the per-point oracle's state."""
-    config = _config(backend, shards)
+    config = _config(backend, dimension)
     storage = MemStorage()
     store = DurableSketchStore.open(config, storage=storage)
-    oracle = ShardedOracle(config)
-    for kind, batch in _batches():
+    oracle = PerPointOracle(config)
+    for kind, batch in _batches(dimension):
         for point in batch:
             getattr(oracle, kind)(point)
         if kind == "insert":
             store.insert_batch(batch)
         else:
             store.remove_batch(batch)
-        _assert_matches(store.sketch, oracle.shards, oracle.encode())
+        _assert_matches(store.sketch, oracle)
     recovered = DurableSketchStore.open(config, storage=storage)
     assert recovered.recovery.replayed_records == len(_batches())
-    _assert_matches(recovered.sketch, oracle.shards, oracle.encode())
+    _assert_matches(recovered.sketch, oracle)
 
 
-#: sha256 of the WAL the seeded scenario below writes, recorded with the
-#: per-key maintenance path that preceded batched apply.
+#: sha256 of the WAL the seeded scenario below writes, recorded when the
+#: record layout became version 2 (per-level delta groups).
 PINNED_WAL_SHA256 = (
-    "64bb7bcd2cc1ae762eb79a63d950ef061628a83c809e8641975163dac2e2dc69"
+    "d72d3bcd52d3efd54db2315c5c8094a4df67affa1c956e49ead830430b7321c0"
 )
 
 
 def pinned_wal_bytes(backend: str) -> bytes:
-    config = ProtocolConfig(
-        delta=2048, dimension=2, k=6, seed=7, shards=2, backend=backend
-    )
+    config = ProtocolConfig(delta=2048, dimension=2, k=6, seed=7, backend=backend)
     rng = random.Random(23)
     points = [(rng.randrange(2048), rng.randrange(2048)) for _ in range(60)]
     storage = MemStorage()
@@ -249,9 +209,9 @@ def test_wal_bytes_pinned(backend):
 # ------------------------------------------------------------- atomicity
 
 
-def _overflow_config(backend: str, shards: int) -> ProtocolConfig:
+def _overflow_config(backend: str, dimension: int = 1) -> ProtocolConfig:
     return ProtocolConfig(
-        delta=256, dimension=1, k=2, seed=3, occupancy_bits=2, shards=shards,
+        delta=256, dimension=dimension, k=2, seed=3, occupancy_bits=2,
         backend=backend,
     )
 
@@ -261,18 +221,7 @@ def test_insert_all_is_atomic_on_a_loaded_sketch(backend):
     """Regression: ``insert_all`` on a non-empty sketch used to insert
     point by point, so an overflow at the fifth point left the first
     four applied."""
-    sketch = IncrementalSketch(_overflow_config(backend, 1))
-    sketch.insert_all([(10,)])
-    before = sketch.encode()
-    with pytest.raises(CapacityExceeded, match="occupancy field"):
-        sketch.insert_all([(200,), (11,), (11,), (11,), (11,)])
-    assert sketch.n_points == 1
-    assert sketch.encode() == before
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sharded_insert_all_is_atomic_on_a_loaded_sketch(backend):
-    sketch = ShardedIncrementalSketch(_overflow_config(backend, 2))
+    sketch = IncrementalSketch(_overflow_config(backend))
     sketch.insert_all([(10,)])
     before = sketch.encode()
     with pytest.raises(CapacityExceeded, match="occupancy field"):
@@ -301,40 +250,41 @@ def test_batch_failure_names_the_first_failing_point(backend):
         sketch.plan([(5,)], 0)
 
 
-@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("dimension", [1, 2])
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_store_failed_batches_leave_wal_and_sketch_unchanged(backend, shards):
+def test_store_failed_batches_leave_wal_and_sketch_unchanged(backend, dimension):
     """A batch that fails planning raises typed before the WAL append:
     the log does not grow, the live sketch does not move, and recovery
     sees only the acknowledged batches."""
-    config = replace(_overflow_config(backend, shards), delta=256)
+    config = _overflow_config(backend, dimension)
+    p10, p50, p90, p200 = ((x,) * dimension for x in (10, 50, 90, 200))
     storage = MemStorage()
     store = DurableSketchStore.open(config, storage=storage)
-    store.insert_batch([(10,), (10,), (50,)])
+    store.insert_batch([p10, p10, p50])
     wal_len = len(storage.read(WAL_NAME))
-    before = store.encode()
+    before = store.one_round_encode()
 
     with pytest.raises(CapacityExceeded):
-        store.insert_batch([(200,), (10,), (10,), (10,), (90,)])
-    # Removing (50,) twice empties its cell at the second copy.
+        store.insert_batch([p200, p10, p10, p10, p90])
+    # Removing p50 twice empties its cell at the second copy.
     with pytest.raises(ReconciliationFailure, match="is empty"):
-        store.remove_batch([(10,), (50,), (50,), (10,)])
+        store.remove_batch([p10, p50, p50, p10])
 
     assert len(storage.read(WAL_NAME)) == wal_len
-    assert store.encode() == before
+    assert store.one_round_encode() == before
     assert store.sketch.n_points == 3
     recovered = DurableSketchStore.open(config, storage=storage)
-    assert recovered.encode() == before
+    assert recovered.one_round_encode() == before
     assert recovered.recovery.n_points == 3
 
 
 def test_wal_group_with_a_bad_sign_is_refused_typed():
     """Replay validates a decoded group's signs before any of it lands."""
-    sketch = ShardedIncrementalSketch(_config("pure", 2))
-    level = sketch.sketch_levels()[0]
-    payload = wal_codec.encode_deltas(sketch, [(1, level, [5, 9], [1, 0])])
+    sketch = IncrementalSketch(_config("pure"))
+    level = sketch.config.sketch_levels[0]
+    payload = wal_codec.encode_deltas(sketch, [(level, [5, 9], [1, 0])])
     with pytest.raises(StoreCorruptError, match="sign 0 is not ±1"):
         wal_codec.decode_deltas(sketch, payload)
-    good = wal_codec.encode_deltas(sketch, [(1, level, [5, 9], [1, -1])])
-    [(shard, got_level, keys, signs)] = wal_codec.decode_deltas(sketch, good)
-    assert (shard, got_level, list(keys), list(signs)) == (1, level, [5, 9], [1, -1])
+    good = wal_codec.encode_deltas(sketch, [(level, [5, 9], [1, -1])])
+    [(got_level, keys, signs)] = wal_codec.decode_deltas(sketch, good)
+    assert (got_level, list(keys), list(signs)) == (level, [5, 9], [1, -1])

@@ -22,8 +22,8 @@ from repro.core.config import ProtocolConfig
 from repro.core.protocol import reconcile
 from repro.core.rateless import reconcile_rateless
 from repro.net.channel import LoopbackChannel, SimulatedChannel
-from repro.scale.engine import fork_available, reconcile_sharded
 from repro.serve import ReconciliationServer, WorkerPoolServer, sync
+from repro.serve.pool import fork_available
 from repro.session import make_session, run_async
 from repro.workloads.synthetic import perturbed_pair
 
@@ -33,7 +33,6 @@ DELTA = 4096
 VARIANTS = [
     ("one-round", {}, reconcile),
     ("adaptive", {}, reconcile_adaptive),
-    ("sharded", {"shards": 2}, reconcile_sharded),
     ("rateless", {}, reconcile_rateless),
 ]
 
@@ -108,7 +107,7 @@ class TestServerReuse:
     def test_one_server_many_variants_and_clients(self):
         """One server instance serves every variant, sequentially and
         concurrently, with per-session stats for each."""
-        workload, config = _setup({"shards": 2}, seed=13)
+        workload, config = _setup({}, seed=13)
         expected = {
             variant: runner(workload.alice, workload.bob,
                             ProtocolConfig(delta=DELTA, dimension=2, k=10,
@@ -132,10 +131,10 @@ class TestServerReuse:
                 expected[variant].repaired
             ), variant
         summary = server.summary()
-        assert summary["sessions"] == 4
-        assert summary["ok"] == 4
+        assert summary["sessions"] == len(VARIANTS)
+        assert summary["ok"] == len(VARIANTS)
         assert {s.variant for s in server.stats} == {
-            "one-round", "adaptive", "sharded", "rateless",
+            "one-round", "adaptive", "rateless",
         }
         for stats in server.stats:
             assert stats.transcript is not None

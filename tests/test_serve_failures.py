@@ -141,13 +141,6 @@ class TestHandshakeParsing:
         assert handshake.config_digest(base) != handshake.config_digest(
             _config(seed=10)
         )
-        # shards digests only the sharded variant's wire.
-        assert handshake.config_digest(base) == handshake.config_digest(
-            _config(shards=4)
-        )
-        assert handshake.config_digest(base, "sharded") != handshake.config_digest(
-            _config(shards=4), "sharded"
-        )
 
 
 class TestHandshakeRejection:

@@ -28,7 +28,6 @@ from repro.core.rateless import RatelessConfig, reconcile_rateless
 from repro.errors import ConfigError, ServerOverloadedError, SessionError
 from repro.iblt.decode import PeelState
 from repro.net.channel import SimulatedChannel
-from repro.scale.engine import fork_available
 from repro.serve import (
     RESET,
     RETRY,
@@ -43,6 +42,7 @@ from repro.serve import (
     sync,
 )
 from repro.serve.frames import read_frame, write_frame
+from repro.serve.pool import fork_available
 from repro.session import make_session
 from repro.session.driver import outbound_messages
 from repro.session.rateless import RatelessResumeState
@@ -124,7 +124,6 @@ class TestSharedCore:
         workload = _workload()
         core = ServerCore(CONFIG, workload.alice, rateless=RATELESS).warm()
         assert "one-round" in core._encoded
-        assert "sharded" in core._encoded
         # The warmed payload is exactly what a cold encode produces.
         cold = ServerCore(CONFIG, workload.alice, rateless=RATELESS)
         assert core.encoded("one-round") == cold.encoded("one-round")

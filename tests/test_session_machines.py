@@ -18,7 +18,6 @@ from repro.core.protocol import reconcile
 from repro.core.rateless import RatelessConfig, reconcile_rateless
 from repro.errors import ChannelError, ReconciliationFailure, SessionError
 from repro.net.channel import Direction, LoopbackChannel, SimulatedChannel
-from repro.scale.engine import reconcile_sharded
 from repro.session import (
     AdaptiveAliceSession,
     AdaptiveBobSession,
@@ -28,7 +27,6 @@ from repro.session import (
     RatelessAliceSession,
     RatelessBobSession,
     Session,
-    ShardedSession,
     make_session,
     pump,
     run_async,
@@ -135,17 +133,13 @@ class TestStateMachine:
             assert isinstance(out, Done)
             assert len(bob.result.repaired) == len(workload.alice)
 
-    def test_sharded_role_validated(self):
-        with pytest.raises(SessionError):
-            ShardedSession(_config(shards=2), [(1, 1)], role="carol")
-
     def test_make_session_unknown_variant(self):
         with pytest.raises(SessionError):
             make_session("three-round", "alice", _config(), [])
 
     def test_make_session_builds_every_variant(self):
-        config = _config(shards=2)
-        for variant in ("one-round", "adaptive", "sharded", "rateless"):
+        config = _config()
+        for variant in ("one-round", "adaptive", "rateless"):
             for role in ("alice", "bob"):
                 session = make_session(variant, role, config, [(1, 1)])
                 assert session.variant == variant
@@ -315,17 +309,6 @@ class TestPumpParity:
         ]
         assert channel.messages[0].direction is Direction.BOB_TO_ALICE
 
-    def test_sharded_pump_matches_reconcile_sharded(self):
-        workload = _workload(seed=4, n=120)
-        config = _config(seed=4, shards=2)
-        direct = reconcile_sharded(workload.alice, workload.bob, config)
-        channel = SimulatedChannel()
-        alice = ShardedSession(config, workload.alice, role="alice")
-        bob = ShardedSession(config, workload.bob, role="bob")
-        _, result = pump(alice, bob, channel)
-        assert sorted(result.repaired) == sorted(direct.repaired)
-        assert channel.total_bits == direct.transcript.total_bits
-
     def test_pump_stalls_loudly_on_mispaired_sessions(self):
         """Two passive endpoints deadlock; the pump must raise, not hang."""
         config = _config()
@@ -378,14 +361,11 @@ class TestChannelOwnership:
     @pytest.mark.parametrize("runner,kwargs", [
         (reconcile, {}),
         (reconcile_adaptive, {}),
-        (reconcile_sharded, {}),
         (reconcile_rateless, {}),
     ])
     def test_caller_channel_stays_open_and_reusable(self, runner, kwargs):
         workload = _workload(seed=7)
-        config = _config(
-            seed=7, shards=2 if runner is reconcile_sharded else 1
-        )
+        config = _config(seed=7)
         channel = SimulatedChannel()
         first = runner(workload.alice, workload.bob, config, channel=channel)
         assert not channel.closed

@@ -2,8 +2,8 @@
 
 The contract under test: a :class:`~repro.store.DurableSketchStore`
 recovered after a crash at *any* storage operation is bit-identical —
-``encode()`` and all — to a fresh sketch of exactly the acknowledged
-batches (or acknowledged + the one batch in flight, wholly in or wholly
+``one_round_encode()`` and all — to a fresh sketch of exactly the
+acknowledged batches (or acknowledged + the one batch in flight, wholly in or wholly
 out, never half-applied).  The matrix enumerates every kill point of a
 canonical scenario (first boot, insert batches, a mid-run snapshot
 rotation, a remove batch), sweeps torn and clean variants of the dying
@@ -15,6 +15,7 @@ recovery of a recovered store must be a fixpoint.
 from __future__ import annotations
 
 import random
+import zlib
 from collections import Counter
 from dataclasses import replace
 
@@ -23,7 +24,10 @@ import pytest
 from repro.core.config import ProtocolConfig
 from repro.errors import ConfigError, InjectedCrash, StoreCorruptError, StoreError
 from repro.iblt.backends import available_backends
-from repro.scale.incremental import ShardedIncrementalSketch
+from repro.core.incremental import IncrementalSketch
+from repro.core.protocol import HierarchicalReconciler
+from repro.net.bits import BitReader, BitWriter
+from repro.serve.handshake import config_digest
 from repro.store import (
     CrashPlan,
     DurableSketchStore,
@@ -36,9 +40,7 @@ from repro.workloads.synthetic import uniform_points
 
 SEED = 9
 DELTA = 2048
-CONFIG = ProtocolConfig(
-    delta=DELTA, dimension=2, k=6, seed=7, shards=2, backend="pure"
-)
+CONFIG = ProtocolConfig(delta=DELTA, dimension=2, k=6, seed=7, backend="pure")
 BACKENDS = [name for name in ("pure", "numpy") if name in available_backends()]
 
 #: Scenario shape: five insert batches of 20 plus one remove batch that
@@ -68,7 +70,7 @@ def _expected(backend: str) -> list[bytes]:
         multiset: Counter = Counter()
 
         def fresh() -> bytes:
-            sketch = ShardedIncrementalSketch(config)
+            sketch = IncrementalSketch(config)
             sketch.insert_all(
                 [p for p, count in multiset.items() for _ in range(count)]
             )
@@ -121,9 +123,9 @@ def _assert_recovered(storage, backend: str, acked: int) -> DurableSketchStore:
         expected[acked],
         expected[min(acked + 1, len(expected) - 1)],
     }
-    assert recovered.encode() in allowed
+    assert recovered.one_round_encode() in allowed
     again = DurableSketchStore.open(config, storage=storage)
-    assert again.encode() == recovered.encode()
+    assert again.one_round_encode() == recovered.one_round_encode()
     assert again.recovery.truncated_bytes == 0
     assert again.recovery.n_points == recovered.recovery.n_points
     return recovered
@@ -182,9 +184,9 @@ class TestCleanRecovery:
     def test_round_trip_bit_identity(self, backend):
         storage = MemStorage()
         store = _run_scenario(_config(backend), storage, [0])
-        assert store.encode() == _expected(backend)[-1]
+        assert store.one_round_encode() == _expected(backend)[-1]
         recovered = DurableSketchStore.open(_config(backend), storage=storage)
-        assert recovered.encode() == store.encode()
+        assert recovered.one_round_encode() == store.one_round_encode()
         assert recovered.recovery.source == "snapshot+wal"
         assert recovered.recovery.replayed_records == 3
         assert recovered.recovery.truncated_bytes == 0
@@ -199,11 +201,11 @@ class TestCleanRecovery:
         storage.fsync(WAL_NAME)
         recovered = DurableSketchStore.open(CONFIG, storage=storage)
         # The chopped record (the final remove batch) is wholly out.
-        assert recovered.encode() == _expected("pure")[-2]
+        assert recovered.one_round_encode() == _expected("pure")[-2]
         assert recovered.recovery.truncated_bytes > 0
         again = DurableSketchStore.open(CONFIG, storage=storage)
         assert again.recovery.truncated_bytes == 0
-        assert again.encode() == recovered.encode()
+        assert again.one_round_encode() == recovered.one_round_encode()
 
     def test_bulk_load_snapshot_durability(self):
         storage = MemStorage()
@@ -212,21 +214,31 @@ class TestCleanRecovery:
         store.bulk_load(points)
         assert store.recovery.n_points == 80
         recovered = DurableSketchStore.open(CONFIG, storage=storage)
-        assert recovered.encode() == store.encode()
+        assert recovered.one_round_encode() == store.one_round_encode()
         assert recovered.recovery.source == "snapshot"
         with pytest.raises(ConfigError):
             store.bulk_load(points)
 
-    def test_one_round_encode_single_shard_only(self):
-        single = replace(CONFIG, shards=1)
-        storage = MemStorage()
-        store = DurableSketchStore.open(single, storage=storage)
+    def test_one_round_encode_matches_a_fresh_encode(self):
+        store = DurableSketchStore.open(CONFIG, storage=MemStorage())
         points = uniform_points(random.Random(5), 40, DELTA, 2)
         store.insert_batch(points)
-        assert store.one_round_encode() == store.sketch.shard_sketches()[0].encode()
-        sharded = DurableSketchStore.open(CONFIG, storage=MemStorage())
-        with pytest.raises(ConfigError):
-            sharded.one_round_encode()
+        assert store.one_round_encode() == store.sketch.encode()
+        assert store.one_round_encode() == HierarchicalReconciler(
+            CONFIG
+        ).encode(points)
+
+
+def _v1_record(generation: int, payload: bytes) -> bytes:
+    """A WAL record framed as version 1 wrote it (the same frame)."""
+    writer = BitWriter()
+    writer.write_uint(wal_codec.WAL_MAGIC, 8)
+    writer.write_uint(1, 8)
+    writer.write_varint(generation)
+    writer.write_uint(wal_codec.KIND_DELTAS, 8)
+    writer.write_bytes(payload)
+    body = writer.getvalue()
+    return body + zlib.crc32(body).to_bytes(4, "big")
 
 
 class TestTypedFailures:
@@ -266,6 +278,83 @@ class TestTypedFailures:
         with pytest.raises(StoreCorruptError, match="kind"):
             DurableSketchStore.open(CONFIG, storage=storage)
 
+    def _wal_only_storage(self) -> MemStorage:
+        """A store whose only state is a WAL of three acked points."""
+        storage = MemStorage()
+        store = DurableSketchStore.open(CONFIG, storage=storage)
+        store.insert_batch(uniform_points(random.Random(4), 3, DELTA, 2))
+        return storage
+
+    def test_unknown_wal_version_is_typed_not_truncated(self):
+        """A record that frames and passes its CRC under an unknown layout
+        version is acked data this build cannot read: refused typed, and
+        the log keeps every byte (it used to be cut as a torn tail)."""
+        storage = self._wal_only_storage()
+        record = bytearray(
+            wal_codec.encode_record(0, wal_codec.KIND_DELTAS, b"\x00")
+        )
+        record[1] = wal_codec.WAL_VERSION + 1
+        body = bytes(record[:-4])
+        storage.append(WAL_NAME, body + zlib.crc32(body).to_bytes(4, "big"))
+        storage.fsync(WAL_NAME)
+        wal = storage.read(WAL_NAME)
+        with pytest.raises(StoreCorruptError, match="layout version"):
+            DurableSketchStore.open(CONFIG, storage=storage)
+        assert storage.read(WAL_NAME) == wal
+
+    def test_parent_format_wal_is_typed_not_truncated(self):
+        """A version-1 record (delta groups addressed per shard) after a
+        clean version-2 prefix is refused, not truncated."""
+        storage = self._wal_only_storage()
+        level = CONFIG.sketch_levels[0]
+        payload = BitWriter()
+        payload.write_varint(1)  # one group
+        payload.write_varint(0)  # shard
+        payload.write_varint(level)
+        payload.write_varint(0)  # no deltas
+        payload.write_bytes(b"")
+        storage.append(WAL_NAME, _v1_record(0, payload.getvalue()))
+        storage.fsync(WAL_NAME)
+        wal = storage.read(WAL_NAME)
+        with pytest.raises(StoreCorruptError, match="layout version 1"):
+            DurableSketchStore.open(CONFIG, storage=storage)
+        assert storage.read(WAL_NAME) == wal
+
+    def test_torn_record_of_unknown_version_still_truncates(self):
+        """Only a CRC-valid record is refused: a torn one is still a tail."""
+        storage = self._wal_only_storage()
+        clean = storage.read(WAL_NAME)
+        storage.append(WAL_NAME, _v1_record(0, b"\x00")[:-2])
+        storage.fsync(WAL_NAME)
+        recovered = DurableSketchStore.open(CONFIG, storage=storage)
+        assert recovered.recovery.n_points == 3
+        assert recovered.recovery.truncated_bytes > 0
+        assert storage.read(WAL_NAME) == clean
+
+    def test_parent_format_snapshot_is_typed(self):
+        """A version-1 snapshot (shard count plus a per-shard loop, digested
+        under the sharded variant) is refused typed."""
+        storage = self._loaded_storage()
+        body = storage.read(SNAPSHOT_NAME)[:-4]
+        reader = BitReader(body)
+        reader.read_uint(8)
+        reader.read_uint(8)
+        generation = reader.read_varint()
+        reader.read_bytes()  # the version-2 digest
+        per_level = body[reader.bits_consumed // 8:]
+        writer = BitWriter()
+        writer.write_uint(0xCC, 8)
+        writer.write_uint(1, 8)
+        writer.write_varint(generation)
+        writer.write_bytes(
+            config_digest(CONFIG, "sharded").encode("ascii")
+        )
+        writer.write_varint(1)  # one shard
+        v1 = writer.getvalue() + per_level
+        storage.write(SNAPSHOT_NAME, v1 + zlib.crc32(v1).to_bytes(4, "big"))
+        with pytest.raises(StoreCorruptError, match="layout version 1"):
+            DurableSketchStore.open(CONFIG, storage=storage)
+
     def test_missing_directory_is_typed(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             OsStorage(str(tmp_path / "nope"))
@@ -296,9 +385,9 @@ class TestWalBeforeAck:
         store, core = self._loaded(storage, points)
         assert core.ingest(extra) == 10
         assert len(core.points) == 50
-        assert core.encoded("sharded") == store.encode()
+        assert core.encoded("one-round") == store.one_round_encode()
         recovered = DurableSketchStore.open(CONFIG, storage=storage)
-        assert recovered.encode() == store.encode()
+        assert recovered.one_round_encode() == store.one_round_encode()
         assert recovered.recovery.n_points == 50
 
     def test_crash_during_ingest_loses_only_the_unacked_batch(self):
@@ -311,16 +400,16 @@ class TestWalBeforeAck:
         plan = CrashPlan(seed=1, kill_after=boot_ops, torn=True)
         storage = MemStorage(injector=plan.injector())
         store, core = self._loaded(storage, points)
-        before = store.encode()
+        before = store.one_round_encode()
         with pytest.raises(InjectedCrash):
             core.ingest(extra)
         # The ack never happened: neither the point list nor the live
         # sketch moved, and recovery sees only the bulk-loaded state.
         assert len(core.points) == 40
-        assert store.encode() == before
+        assert store.one_round_encode() == before
         storage.crash(plan.rng("crash"))
         recovered = DurableSketchStore.open(CONFIG, storage=storage)
-        assert recovered.encode() == before
+        assert recovered.one_round_encode() == before
         assert recovered.recovery.n_points == 40
 
 

@@ -5,7 +5,7 @@ The contract under test: the vectorized codec paths in
 :mod:`repro.net.bits` they ride on) are **bit-identical** to the scalar
 ``BitWriter``/``BitReader`` reference — for every payload kind the
 protocols ship (one-round hierarchy sketches, the adaptive round-2
-window, strata estimators, sharded v2 frames), across backends, q
+window, strata estimators), across backends, q
 values, and seeds — and reject malformed payloads with exactly the same
 :class:`~repro.errors.SerializationError` behaviour.
 
@@ -32,8 +32,6 @@ from repro.iblt.strata import StrataConfig, StrataEstimator
 from repro.iblt.table import IBLT, IBLTConfig
 from repro.net import codec
 from repro.net.bits import BitReader, BitWriter
-from repro.scale import engine as sharded_engine
-from repro.scale.engine import ShardedReconciler
 
 BACKENDS = available_backends()
 SEEDS = (0, 7)
@@ -232,22 +230,6 @@ def test_strata_estimator_identical(backend, q, seed):
     scalar_est = StrataEstimator(config, backend=backend)
     scalar_est._insert_all_scalar(keys)
     assert scalar_est.to_bytes() == fast
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_sharded_frame_identical(seed, monkeypatch):
-    # One worker runs the shards inline, in the process whose codec
-    # _both_ways swaps.
-    monkeypatch.setattr(sharded_engine, "cpu_count", lambda: 1)
-    rng = random.Random(seed)
-    points = [(rng.randrange(2048), rng.randrange(2048)) for _ in range(300)]
-    config = ProtocolConfig(delta=2048, dimension=2, k=8, seed=seed, shards=4)
-
-    def produce():
-        return ShardedReconciler(config).encode(points)
-
-    fast, reference = _both_ways(produce)
-    assert fast == reference
 
 
 # ------------------------------------------------------- malformed parity
