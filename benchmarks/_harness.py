@@ -41,10 +41,9 @@ def schema2_payload(experiment: str, *, rows, **extra) -> dict:
     """Assemble a schema-2 benchmark record.
 
     Schema 2 (BENCH_9 onward) adds provenance that schema-1 records
-    left implicit: a ``schema`` version field, the machine's
-    ``cpu_count``, and — per row, stamped by the benchmark — the worker
-    count that produced the numbers.  Consumers can then separate
-    "server got faster" from "server got more cores".
+    left implicit: a ``schema`` version field and the machine's
+    ``cpu_count``.  Consumers can then separate "code got faster" from
+    "host got more cores".
     """
     return {
         "schema": 2,

@@ -50,7 +50,6 @@ from repro.serve import (
     ReconciliationServer,
     RetryPolicy,
     ServerCore,
-    WorkerPoolServer,
     resilient_sync,
     sync_blocking,
 )
@@ -117,11 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--k", type=int, default=16)
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--backend", **backend_kwargs)
-    serve.add_argument("--workers", type=int, default=1,
-                       help="pre-fork server worker processes (default: 1 = "
-                            "single-process server, the exact pre-pool "
-                            "behaviour; N>1 forks N accept loops sharing "
-                            "one warmed core)")
     serve.add_argument("--store-dir", type=Path, default=None,
                        dest="store_dir",
                        help="durable sketch store directory (must exist and "
@@ -303,9 +297,6 @@ def cmd_serve(args) -> int:
         seed=args.seed, backend=args.backend,
     )
     points = data["alice"]
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}")
-        return 2
     core = None
     store_line = None
     if args.store_dir is not None:
@@ -337,27 +328,13 @@ def cmd_serve(args) -> int:
         core = ServerCore(config, points, store=store)
 
     async def run() -> None:
-        # --workers 1 is the exact single-process server; N>1 pre-forks N
-        # workers sharing one warmed copy-on-write core (serve/pool.py).
-        # A store-backed core is recovered *before* either server exists,
-        # so pool workers fork after recovery and inherit it CoW.
-        if args.workers > 1:
-            server = WorkerPoolServer(
-                config if core is None else None,
-                points if core is None else None,
-                core=core, workers=args.workers,
-                host=args.host, port=args.port,
-                max_sessions=args.max_sessions, max_pending=args.max_pending,
-                timeout=args.timeout,
-            )
-        else:
-            server = ReconciliationServer(
-                config if core is None else None,
-                points if core is None else None,
-                core=core, host=args.host, port=args.port,
-                max_sessions=args.max_sessions, max_pending=args.max_pending,
-                timeout=args.timeout,
-            )
+        server = ReconciliationServer(
+            config if core is None else None,
+            points if core is None else None,
+            core=core, host=args.host, port=args.port,
+            max_sessions=args.max_sessions, max_pending=args.max_pending,
+            timeout=args.timeout,
+        )
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()
         try:
@@ -366,12 +343,8 @@ def cmd_serve(args) -> int:
             pass  # platforms without loop signal handlers keep Ctrl-C only
         async with server:
             host, port = server.address
-            mode = (
-                f"{args.workers} workers, {server.mode}"
-                if args.workers > 1 else "single process"
-            )
             print(f"serving {len(points)} points on {host}:{port} "
-                  f"(k={args.k}, seed={args.seed}, {mode}; "
+                  f"(k={args.k}, seed={args.seed}; "
                   f"variants: one-round, adaptive, rateless)",
                   flush=True)
             if store_line is not None:
@@ -391,9 +364,8 @@ def cmd_serve(args) -> int:
             for task in pending:
                 task.cancel()
             await asyncio.gather(*pending, return_exceptions=True)
-            # Leaving the context manager drains in-flight sessions (the
-            # pool SIGTERMs its workers, each draining up to the session
-            # deadline) before the summary below.
+            # Leaving the context manager drains in-flight sessions
+            # before the summary below.
         summary = server.summary()
         print(f"served   : {summary['sessions']} session(s), "
               f"{summary['ok']} ok, {summary['failed']} failed")

@@ -215,10 +215,9 @@ class AdaptiveReconciler:
         """Prebuild Alice's cached estimator block for ``alice_points``.
 
         Only meaningful with ``reuse_alice_state=True`` (no-op otherwise).
-        The serve layer calls this once before forking worker processes so
-        every worker inherits the stacked estimator cells and the block's
-        public-coin constants copy-on-write instead of each paying the
-        build on its first adaptive request.  Window tables are *not*
+        The serve layer calls this once before serving, so the first
+        adaptive request does not pay for the stacked estimator cells and
+        the block's public-coin constants.  Window tables are *not*
         prewarmed — their shapes depend on client estimates.
         """
         if not self._reuse:

@@ -190,9 +190,9 @@ class RatelessReconciler:
         increment payloads for ``alice_points``.
 
         Only meaningful with ``reuse_alice_state=True`` (no-op otherwise).
-        The serve layer calls this once before forking worker processes so
-        the hot opening increments are inherited copy-on-write; later
-        increments are still encoded (and cached) on demand.
+        The serve layer calls this once before serving, so the opening
+        increments are ready for the first stream; later increments are
+        still encoded (and cached) on demand.
         """
         if not self._reuse or increments < 1:
             return

@@ -15,12 +15,12 @@ with typed ``RETRY_LATER`` refusals past its pending watermark and
 bounds every connection with a session deadline.  Deterministic fault
 injection for all of it lives in :mod:`repro.net.faults`.
 
-Scaling across cores is :mod:`repro.serve.pool`: a pre-fork
-:class:`~repro.serve.pool.WorkerPoolServer` whose N workers each run the
-single-process server over a shared listen address, inheriting one
-pre-warmed :class:`~repro.serve.service.ServerCore` copy-on-write.
-Each session's compute runs inline on its worker's event loop; there is
-one compute path per server.
+One process serves: each session's compute runs inline on the server's
+event loop.  In every variant the peel and the repair run at the client
+(Bob); Alice sends a cached sketch, public-coin increments or one
+estimate and window, so a sync's server CPU is a small fraction of its
+client's and the client fleet, not the server, fills the machine's
+cores.
 """
 
 from repro.serve.frames import (
@@ -31,7 +31,6 @@ from repro.serve.frames import (
     write_frame,
 )
 from repro.serve.handshake import WIRE_VERSION, config_digest
-from repro.serve.pool import WorkerPoolServer, reuse_port_available
 from repro.serve.resilience import (
     FATAL,
     RESET,
@@ -65,7 +64,6 @@ __all__ = [
     "ServerCore",
     "SessionStats",
     "WIRE_VERSION",
-    "WorkerPoolServer",
     "classify",
     "close_writer",
     "config_digest",
@@ -73,7 +71,6 @@ __all__ = [
     "pump_stream",
     "read_frame",
     "resilient_sync",
-    "reuse_port_available",
     "sync",
     "sync_blocking",
     "write_frame",

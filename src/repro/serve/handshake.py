@@ -203,7 +203,6 @@ def welcome_bytes(
     digest: str,
     token: str | None = None,
     resume_from: int | None = None,
-    worker: int | None = None,
     recovered: dict | None = None,
 ) -> bytes:
     """The server's acceptance frame.
@@ -211,12 +210,11 @@ def welcome_bytes(
     Rateless sessions carry ``token`` — the resume handle the client
     presents if this connection dies mid-stream — and, when the server
     accepted a resume request, ``resume_from``, the increment index the
-    stream continues at.  A pool worker additionally stamps its
-    ``worker`` index, and a store-backed server its ``recovered``
-    summary (source / generation / replayed records).  Both are
-    diagnostic only — clients must not branch on them — and a plain
-    single-process, store-less welcome (``worker=None``,
-    ``recovered=None``) stays byte-identical to previous wire versions.
+    stream continues at.  A store-backed server additionally stamps its
+    ``recovered`` summary (source / generation / replayed records),
+    diagnostic only — clients must not branch on it — and a store-less
+    welcome (``recovered=None``) stays byte-identical to previous wire
+    versions.
     """
     record = {
         "magic": MAGIC,
@@ -229,8 +227,6 @@ def welcome_bytes(
         record["token"] = token
     if resume_from is not None:
         record["resume_from"] = resume_from
-    if worker is not None:
-        record["worker"] = worker
     if recovered is not None:
         record["recovered"] = recovered
     return _dump(record)

@@ -31,16 +31,12 @@ value — total bytes over the whole retry sequence stay proportional to
 the *remaining* difference, the rateless promise extended across
 failures.
 
-Against a :class:`~repro.serve.pool.WorkerPoolServer` the same verdicts
-compose with per-worker state: a worker that crashes mid-session
-surfaces as a :data:`RETRY` (connection lost — the retry lands on a
-fresh worker); resume tokens live in each worker's private LRU, so a
-resumed connection that the kernel routes to a *sibling* worker is
-answered with :class:`~repro.errors.StaleResumeTokenError` → a
-:data:`RESET` that restarts the stream from scratch, trading the saved
-bytes for correctness.  ``RETRY_LATER`` hints are scaled from the
-shedding worker's own backlog — the one queue that client is actually
-stuck behind — never a global count.
+A server process that dies mid-session surfaces as a :data:`RETRY`
+(connection lost); a resume token minted by that dead incarnation is
+answered by its successor with
+:class:`~repro.errors.StaleResumeTokenError` → a :data:`RESET` that
+restarts the stream from scratch, trading the saved bytes for
+correctness.
 """
 
 from __future__ import annotations

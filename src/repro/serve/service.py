@@ -9,23 +9,20 @@ handshake that rejects peers whose public-coin config drifted.
 Concurrency model: frames move through the event loop and each
 session's compute (sketch encode, peel, repair) runs inline on it, so
 sessions overlap on I/O and handshake latency while CPU work serialises
-— the standard single-process asyncio trade.
-:class:`~repro.serve.pool.WorkerPoolServer` lifts that cap by pre-forking
-N processes, each running this server over a shared listen socket, which
-scales sessions/s with the machine's cores.
+— the standard single-process asyncio trade.  It suffices because
+the server's share of a sync is small: in every variant the peel and
+the repair run at the client, and Alice answers from caches.
 
-The split that makes the pool cheap is :class:`ServerCore`: everything a
-connection needs but never mutates — config, knobs, the point multiset,
-per-variant reconcilers and payload caches — lives there, built (and
-optionally pre-warmed) once in the parent so forked workers inherit it
-copy-on-write instead of rebuilding per process.
+Those caches live in :class:`ServerCore`: everything a connection needs
+but never mutates — config, knobs, the point multiset, per-variant
+reconcilers and payload caches — built (and optionally pre-warmed) once
+and shared by every connection.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import socket
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
@@ -58,7 +55,7 @@ from repro.session.rateless import RatelessResumeState
 DEFAULT_TIMEOUT = 30.0
 
 #: Default whole-connection budget on the server: handshake-to-hangup for
-#: one session.  No single slow (or stalling) peer may pin a worker slot
+#: one session.  No single slow (or stalling) peer may pin a session slot
 #: longer than this, whatever the per-read timeout allows frame by frame.
 DEFAULT_SESSION_DEADLINE = 120.0
 
@@ -148,28 +145,13 @@ class SessionStats:
     def record(self) -> dict:
         """:meth:`to_dict` with the transcript (which can dwarf the
         session's own wire traffic) folded into the byte counts of an ok
-        session: what a pool worker streams to its parent."""
+        session: what the server's running totals add up."""
         record = self.to_dict()
         transcript = record.pop("transcript", None)
         counted = self.ok and transcript is not None
         record["bytes_out"] = transcript["alice_to_bob_bytes"] if counted else 0
         record["bytes_in"] = transcript["bob_to_alice_bytes"] if counted else 0
         return record
-
-
-def tally(totals: dict, record: dict) -> None:
-    """Add one :meth:`SessionStats.record` to a server's running totals."""
-    totals["sessions"] += 1
-    if record["shed"]:
-        totals["shed"] += 1
-    elif record["resumed_from"] is not None:
-        totals["resumed"] += 1
-    if record["ok"]:
-        totals["ok"] += 1
-        totals["bytes_out"] += record["bytes_out"]
-        totals["bytes_in"] += record["bytes_in"]
-    else:
-        totals["failed"] += 1
 
 
 @dataclass
@@ -200,12 +182,10 @@ class ServerCore:
     Per-connection *mutable* state — the semaphore, stats, the resume-token
     LRU — stays on :class:`ReconciliationServer`.
 
-    The split exists for the pre-fork pool: :meth:`warm` builds every
-    cache once in the parent process, so forked workers inherit them
-    copy-on-write instead of re-encoding the point set N times.  After a
-    warm the caches are only ever *read* on the hot path, so sharing one
-    core across workers (or across several servers in one process, as the
-    differential tests do) is safe.
+    :meth:`warm` builds every cache before the first connection, so no
+    session pays for a cold encode.  After a warm the caches are only
+    ever *read* on the hot path, so sharing one core across several
+    servers (as the store restart and differential tests do) is safe.
     """
 
     def __init__(
@@ -224,9 +204,6 @@ class ServerCore:
         #: Optional :class:`~repro.store.DurableSketchStore` backing the
         #: one-way payload caches — the recovered sketch state *is* the
         #: encoded message, so a warm boot skips the from-scratch encode.
-        #: Opened (and recovered) before the core is built, so under the
-        #: pre-fork pool every worker inherits the recovered state
-        #: copy-on-write.
         self.store = store
         #: How many non-empty batches :meth:`ingest` has applied; resume
         #: tokens minted before the latest ingest are refused.
@@ -259,10 +236,7 @@ class ServerCore:
         *before* this returns (and before any caller acks upstream);
         the in-memory caches — encoded payloads, per-variant reconciler
         state — are then invalidated and rebuilt lazily on the next
-        session.  Single-process servers only: a pre-fork pool's workers
-        hold copy-on-write cores and one shared WAL must have one
-        writer, so pools serve a fixed point set per incarnation (see
-        the README's per-worker caveats).
+        session.
         """
         points = list(points)
         if not points:
@@ -275,9 +249,7 @@ class ServerCore:
         return len(points)
 
     def digest(self, variant: str) -> str:
-        """The config digest this core expects for ``variant`` (cached —
-        identical in every worker, so the handshake is digest-stable
-        across the pool)."""
+        """The config digest this core expects for ``variant`` (cached)."""
         if variant not in self._digests:
             self._digests[variant] = handshake.config_digest(
                 self.config, variant, self.adaptive, self.rateless
@@ -308,7 +280,7 @@ class ServerCore:
     def encoded(self, variant: str) -> bytes:
         """Cached opening payload of a one-way variant — a deterministic
         function of (config, points), so one encode serves every
-        connection (and, after a fork, every worker).
+        connection.
 
         With a store attached the payload comes straight off the
         recovered sketch state — bit-identical to the from-scratch
@@ -338,9 +310,9 @@ class ServerCore:
         *,
         rateless_increments: int = 2,
     ) -> "ServerCore":
-        """Prebuild every cache a worker would otherwise build on demand.
+        """Prebuild every cache a session would otherwise build on demand.
 
-        Called once in the pool parent before forking: digests, the
+        Called once before serving: digests, the
         per-variant reconcilers, the one-way encoded payloads, Alice's
         adaptive estimator/window state at every sampled level, and the
         first ``rateless_increments`` rateless increments.  Returns
@@ -380,13 +352,10 @@ class ReconciliationServer:
     :attr:`address` after :meth:`start`.
 
     Two construction styles: the classic ``(config, points, ...)``
-    surface builds a private :class:`ServerCore`; a pre-fork worker
-    instead receives ``core=`` (the parent's warmed, copy-on-write-shared
-    core) and must not pass config/points.  Pool-specific knobs —
-    ``sock`` (an already-bound listen socket), ``worker_index`` (stamped
-    into welcome frames) and ``on_session`` (per-session stats callback
-    for aggregation) — all default to off, leaving single-process
-    behaviour byte-identical to earlier releases.
+    surface builds a private :class:`ServerCore`; ``core=`` serves a
+    prebuilt (warmed, store-backed or shared) core instead and must not
+    be combined with config/points.  ``on_session`` is called with each
+    finished session's :class:`SessionStats`.
     """
 
     def __init__(
@@ -399,7 +368,6 @@ class ReconciliationServer:
         rateless: RatelessConfig | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        sock: socket.socket | None = None,
         max_sessions: int = 64,
         max_pending: int | None = None,
         retry_after_hint: float = 0.05,
@@ -407,7 +375,6 @@ class ReconciliationServer:
         resume_capacity: int = 256,
         timeout: float | None = DEFAULT_TIMEOUT,
         stats_history: int = 1024,
-        worker_index: int | None = None,
         on_session=None,
     ):
         if core is None:
@@ -431,20 +398,12 @@ class ReconciliationServer:
         self.core = core
         self.host = host
         self.port = port
-        self._sock = sock
         self.max_sessions = max_sessions
         #: Overload watermark: how many validated connections may *wait*
         #: for a session slot before further arrivals are shed with a
         #: typed ``RETRY_LATER`` refusal instead of queueing unboundedly.
         #: ``None`` (the default) disables the watermark — every arrival
         #: queues, the pre-resilience behaviour.
-        #:
-        #: Under a :class:`~repro.serve.pool.WorkerPoolServer` both the
-        #: semaphore and this watermark are **per worker**: an N-worker
-        #: pool admits up to ``N * max_sessions`` concurrent sessions and
-        #: ``N * max_pending`` waiters globally.  That is the correct
-        #: unit — each worker sheds on *its own* backlog, the only queue
-        #: its clients are actually waiting in.
         self.max_pending = max_pending
         #: Base of the retry-after hint shipped in ``RETRY_LATER`` frames;
         #: scaled by how deep the pending queue is when the shed happens.
@@ -466,7 +425,6 @@ class ReconciliationServer:
         self._server: asyncio.base_events.Server | None = None
         self._finished = asyncio.Condition()
         self._handlers: set[asyncio.Task] = set()
-        self.worker_index = worker_index
         self._on_session = on_session
         #: Bounded LRU of rateless resume entries: token -> watermark of
         #: increments already streamed.  Alice's increments are a
@@ -476,12 +434,10 @@ class ReconciliationServer:
         self.resume_capacity = resume_capacity
         self._resume: OrderedDict[str, _ResumeEntry] = OrderedDict()
         # Tokens must not validate across server incarnations (a restart
-        # may change the point set, silently corrupting a resumed peel)
-        # nor across pool workers (each worker's resume LRU is private —
-        # a token presented to a sibling must fail typed, not resume a
-        # stream that worker never served); mixing the pid keeps nonces
-        # distinct across a fork, where time_ns and id() are inherited.
-        # Serve-layer code may read the clock, unlike protocol code.
+        # may change the point set, silently corrupting a resumed peel);
+        # mixing the pid keeps two processes' nonces distinct even where
+        # time_ns and id() coincide.  Serve-layer code may read the
+        # clock, unlike protocol code.
         self._resume_nonce = (
             time.time_ns() ^ id(self) ^ (os.getpid() << 16)
         ) & 0xFFFFFFFF
@@ -508,23 +464,12 @@ class ReconciliationServer:
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> tuple[str, int]:
-        """Bind and start accepting; returns ``(host, port)``.
-
-        Either a fresh ``(host, port)`` bind (the default), or an
-        already-bound ``sock`` handed down by a pre-fork parent (see
-        :class:`~repro.serve.pool.WorkerPoolServer` for how it shares or
-        ``SO_REUSEPORT``-binds those sockets).
-        """
+        """Bind and start accepting; returns ``(host, port)``."""
         if self._server is not None:
             raise SessionError("server already started")
-        if self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle, sock=self._sock
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle, self.host, self.port
-            )
+        self._server = await asyncio.start_server(
+            self._handle, self.host, self.port
+        )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return self.address
@@ -583,8 +528,8 @@ class ReconciliationServer:
     def _session_for(self, variant: str, start_index: int = 0) -> Session:
         """Build this connection's Alice session over the shared core.
 
-        Heavy per-variant state is computed once (per core — which may
-        predate this server by a fork) and shared across connections: the
+        Heavy per-variant state is computed once per core and shared
+        across connections: the
         reconciler and, for the one-way variants, the encoded opening
         payload, so a session costs near-O(1) server CPU instead of
         re-encoding the whole point set per connection.  See
@@ -612,7 +557,7 @@ class ReconciliationServer:
         """Validate one resume request against the LRU; typed rejection.
 
         Every way a token can be wrong — unparseable, unknown (evicted or
-        minted by another server process), config drift, a point set
+        minted by another server incarnation), config drift, a point set
         grown by an ingest since the stream began, or an index beyond
         what was actually streamed — is a
         :class:`~repro.errors.StaleResumeTokenError`, which the client
@@ -716,13 +661,22 @@ class ReconciliationServer:
             stats.duration_s = time.perf_counter() - started
             await close_writer(writer)
             if record:
+                totals, counted = self._totals, stats.record()
                 async with self._finished:
                     self.stats.append(stats)
-                    tally(self._totals, stats.record())
+                    totals["sessions"] += 1
+                    if stats.shed:
+                        totals["shed"] += 1
+                    elif stats.resumed_from is not None:
+                        totals["resumed"] += 1
+                    if stats.ok:
+                        totals["ok"] += 1
+                        totals["bytes_out"] += counted["bytes_out"]
+                        totals["bytes_in"] += counted["bytes_in"]
+                    else:
+                        totals["failed"] += 1
                     self._finished.notify_all()
                 if self._on_session is not None:
-                    # Aggregation hook: a pool worker streams each
-                    # finished session's stats to the parent from here.
                     self._on_session(stats)
 
     async def _run_session(
@@ -791,10 +745,6 @@ class ReconciliationServer:
         if not await self._acquire_slot():
             # Overload shedding: a typed RETRY_LATER refusal with a hint
             # proportional to the backlog, instead of unbounded queueing.
-            # ``_waiting`` counts *this process's* waiters — under a
-            # worker pool that is deliberately the per-worker backlog,
-            # the one queue this client is actually stuck behind, not a
-            # (stale, lock-needing) global count across siblings.
             retry_after = self.retry_after_hint * (1 + self._waiting)
             stats.shed = True
             try:
@@ -804,12 +754,8 @@ class ReconciliationServer:
                 )
             except (ConnectionError, OSError, SessionError):
                 pass
-            where = (
-                f" on worker {self.worker_index}"
-                if self.worker_index is not None else ""
-            )
             raise ServerOverloadedError(
-                f"shed{where}: {self.max_sessions} session(s) active and "
+                f"shed: {self.max_sessions} session(s) active and "
                 f"{self._waiting} pending (watermark {self.max_pending}); "
                 f"asked the client to retry after {retry_after:g}s",
                 retry_after=retry_after,
@@ -823,7 +769,6 @@ class ReconciliationServer:
                 handshake.welcome_bytes(
                     variant, expected, token=token,
                     resume_from=stats.resumed_from,
-                    worker=self.worker_index,
                     recovered=self.core.recovery_summary(),
                 ),
                 timeout=self.timeout,
@@ -924,7 +869,6 @@ async def sync(
         )
         welcome = await read_frame(reader, timeout=timeout)
         record = handshake.parse_welcome(welcome)
-        served_by = record.get("worker")
         resumed_from = record.get("resume_from")
         recovered = record.get("recovered")
         if resume is not None and isinstance(record.get("token"), str):
@@ -951,12 +895,10 @@ async def sync(
     result.transcript = Transcript.from_messages(
         recorder.messages[first_message:]
     )
-    #: Which pool worker served this sync (None against a plain server) —
-    #: diagnostic only, never part of the protocol.  ``resumed_from`` is
-    #: the increment index a resumed rateless stream continued at;
-    #: ``recovered`` is the store-backed server's recovery summary.
-    #: All three are None unless the server stamped them.
-    result.served_by = served_by
+    #: ``resumed_from`` is the increment index a resumed rateless stream
+    #: continued at; ``recovered`` is the store-backed server's recovery
+    #: summary.  Both are diagnostic only and None unless the server
+    #: stamped them.
     result.resumed_from = resumed_from
     result.recovered = recovered
     return result

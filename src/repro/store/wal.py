@@ -77,10 +77,13 @@ def scan_records(data: bytes) -> tuple[list[tuple[int, int, bytes]], int]:
     drop acknowledged batches.
     """
     records: list[tuple[int, int, bytes]] = []
+    # Every read goes through one view: slicing ``data`` itself would
+    # copy the rest of the log per record, quadratic in the record count.
+    view = memoryview(data)
     offset = 0
     total = len(data)
     while offset < total:
-        reader = BitReader(data[offset:])
+        reader = BitReader(view[offset:])
         try:
             if reader.read_uint(8) != WAL_MAGIC:
                 break
@@ -94,8 +97,8 @@ def scan_records(data: bytes) -> tuple[list[tuple[int, int, bytes]], int]:
         end = offset + body_len + 4
         if end > total:
             break
-        crc = int.from_bytes(data[offset + body_len:end], "big")
-        if crc != zlib.crc32(data[offset:offset + body_len]):
+        crc = int.from_bytes(view[offset + body_len:end], "big")
+        if crc != zlib.crc32(view[offset:offset + body_len]):
             break
         if version != WAL_VERSION:
             raise StoreCorruptError(

@@ -32,37 +32,9 @@ if not HAVE_SCIENTIFIC_STACK:
     ]
 
 
-import functools
 import os
 
 import pytest
-
-
-@pytest.fixture(autouse=True)
-def _serve_workers_shim(request, monkeypatch):
-    """Run the chaos matrix against a multi-worker pool, unmodified.
-
-    ``REPRO_SERVE_WORKERS=N`` (N > 1) swaps the ``ReconciliationServer``
-    name inside ``test_chaos_matrix`` for a pre-fork
-    :class:`~repro.serve.pool.WorkerPoolServer` of N workers — the
-    crash-only acceptance contract of the pool: every fault plan must
-    end in the same correct repair or the same typed error whether one
-    process serves or N do.  Unset (the default), this fixture is a
-    no-op and the matrix runs against the single-process server exactly
-    as before.
-    """
-    workers = int(os.environ.get("REPRO_SERVE_WORKERS", "1") or "1")
-    if workers <= 1 or request.module.__name__ != "test_chaos_matrix":
-        yield
-        return
-    from repro.serve import WorkerPoolServer
-
-    monkeypatch.setattr(
-        request.module,
-        "ReconciliationServer",
-        functools.partial(WorkerPoolServer, workers=workers),
-    )
-    yield
 
 
 @pytest.fixture(autouse=True)
@@ -74,9 +46,8 @@ def _serve_store_shim(request, monkeypatch, tmp_path_factory):
     bulk-loaded into a fresh temp directory — the acceptance contract of
     the store layer: every fault plan must end in the same correct
     repair or the same typed error whether the served payloads come from
-    live reconcilers or from recovered durable state.  Stacks with
-    ``REPRO_SERVE_WORKERS`` (this shim wraps whatever that one bound).
-    Unset (the default), a no-op.
+    live reconcilers or from recovered durable state.  Unset (the
+    default), a no-op.
     """
     if (
         not os.environ.get("REPRO_STORE_DIR")

@@ -16,6 +16,7 @@ bit-identically.
 import asyncio
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
 
@@ -31,7 +32,6 @@ from repro.serve import (
     ReconciliationServer,
     RetryPolicy,
     ServerCore,
-    WorkerPoolServer,
     classify,
     resilient_sync,
     sync,
@@ -207,6 +207,69 @@ RESTART_CUT = FaultPlan(
 )
 
 
+def _serve_in_child(core, kwargs, conn) -> None:
+    """Forked child: serve ``core`` until killed; report the address."""
+
+    async def serve():
+        server = ReconciliationServer(core=core, **kwargs)
+        conn.send(await server.start())
+        conn.close()
+        await server.serve_forever()
+
+    asyncio.run(serve())
+
+
+class _ForkedServer:
+    """A plain :class:`ReconciliationServer` in a forked child process,
+    so a test can SIGKILL the serving process: no shutdown path runs in
+    it, exactly as in a crash.  The child inherits the parent's core
+    (store included) and binds its own ephemeral port."""
+
+    def __init__(self, core, **kwargs):
+        self.core = core
+        self.kwargs = kwargs
+        self.process = None
+        self.address = None
+
+    async def start(self) -> "_ForkedServer":
+        ctx = multiprocessing.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe(duplex=False)
+        self.process = ctx.Process(
+            target=_serve_in_child,
+            args=(self.core, self.kwargs, child_conn),
+            daemon=True,
+        )
+        self.process.start()
+        child_conn.close()
+        try:
+            while not parent_conn.poll():
+                assert self.process.is_alive(), "forked server died at start"
+                await asyncio.sleep(0.01)
+            self.address = parent_conn.recv()
+        finally:
+            parent_conn.close()
+        return self
+
+    def kill(self) -> None:
+        """``kill -9`` the serving process (idempotent) and reap it."""
+        if self.process.is_alive():
+            os.kill(self.process.pid, signal.SIGKILL)
+        self.process.join()
+
+    async def __aenter__(self) -> "_ForkedServer":
+        return await self.start()
+
+    async def __aexit__(self, *exc_info) -> None:
+        self.kill()
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="SIGKILLing a separate serving process needs the fork start method",
+)
+
+
+@needs_fork
 class TestRestartFromStore:
     """Restart plans: SIGKILL the serving process, restart from the
     durable store, and prove the client-visible contract — a resume
@@ -228,11 +291,12 @@ class TestRestartFromStore:
 
         async def scenario():
             store_a, core_a = self._store_core(str(tmp_path), workload.alice)
-            async with WorkerPoolServer(
-                core=core_a, workers=1, max_restarts=0,
-                timeout=SERVER_TIMEOUT,
-            ) as pool:
-                async with ChaosProxy(*pool.address, RESTART_CUT) as proxy:
+            async with _ForkedServer(
+                core_a, timeout=SERVER_TIMEOUT
+            ) as incarnation_a:
+                async with ChaosProxy(
+                    *incarnation_a.address, RESTART_CUT
+                ) as proxy:
                     with pytest.raises(ReproError):
                         await sync(
                             *proxy.address, CONFIG, workload.bob,
@@ -240,7 +304,7 @@ class TestRestartFromStore:
                             resume=state, timeout=CLIENT_TIMEOUT,
                         )
                 # kill -9: incarnation A dies without any shutdown path.
-                os.kill(pool.worker_pids()[0], signal.SIGKILL)
+                incarnation_a.kill()
             assert state.in_progress, "cut left nothing worth resuming"
 
             store_b, core_b = self._store_core(str(tmp_path), workload.alice)
@@ -278,12 +342,9 @@ class TestRestartFromStore:
 
         async def scenario():
             store_a, core_a = self._store_core(str(tmp_path), workload.alice)
-            pool = WorkerPoolServer(
-                core=core_a, workers=1, max_restarts=0,
-                timeout=SERVER_TIMEOUT,
-            )
-            await pool.start()
-            proxy = ChaosProxy(*pool.address, RESTART_CUT)
+            incarnation_a = _ForkedServer(core_a, timeout=SERVER_TIMEOUT)
+            await incarnation_a.start()
+            proxy = ChaosProxy(*incarnation_a.address, RESTART_CUT)
             await proxy.start()
             host, port = proxy.address
             backoffs = []
@@ -292,8 +353,7 @@ class TestRestartFromStore:
                 backoffs.append(delay)
                 if len(backoffs) > 1:
                     return
-                os.kill(pool.worker_pids()[0], signal.SIGKILL)
-                await pool.close()
+                incarnation_a.kill()
                 await proxy.close()
                 _, core_b = self._store_core(str(tmp_path), workload.alice)
                 last_error = None
@@ -320,10 +380,10 @@ class TestRestartFromStore:
                     sleep=swap_on_first_backoff, timeout=CLIENT_TIMEOUT,
                 )
             finally:
+                incarnation_a.kill()
                 if incarnation_b:
                     await incarnation_b[0].close()
                 else:
-                    await pool.close()
                     await proxy.close()
             return result, len(backoffs)
 

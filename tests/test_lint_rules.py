@@ -440,7 +440,7 @@ class TestExecutorSafety:
             "    return executor.map(task, tasks)\n"
         )
         report = lint_files(
-            tmp_path, {"serve/pool.py": source}, select={"RPL007"}
+            tmp_path, {"serve/service.py": source}, select={"RPL007"}
         )
         assert report.findings == []
 

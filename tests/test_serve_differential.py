@@ -6,11 +6,9 @@ loopback-TCP run must produce (a) **equal repaired multisets** and (b)
 **equal payload bytes per message**, in the same order with the same
 labels.  The transports may only move bytes — never shape them.
 
-The multi-worker leg extends the same contract across processes: a
-pre-fork :class:`~repro.serve.pool.WorkerPoolServer` with four workers
-must ship byte-identical payloads and repair the same multisets as the
-single-process server, whichever worker the kernel picks, and every
-worker must answer the handshake with the same config digest.
+The shared-core leg extends the same contract across servers: several
+servers over one warmed :class:`~repro.serve.ServerCore` ship the same
+bytes as a cold one.
 """
 
 import asyncio
@@ -20,11 +18,13 @@ import pytest
 from repro.core.adaptive import reconcile_adaptive
 from repro.core.config import ProtocolConfig
 from repro.core.protocol import reconcile
-from repro.core.rateless import reconcile_rateless
+from repro.core.rateless import RatelessConfig, reconcile_rateless
+from repro.errors import ConfigError
 from repro.net.channel import LoopbackChannel, SimulatedChannel
-from repro.serve import ReconciliationServer, WorkerPoolServer, sync
-from repro.serve.pool import fork_available
+from repro.serve import ReconciliationServer, ServerCore, handshake, sync
+from repro.serve.frames import read_frame, write_frame
 from repro.session import make_session, run_async
+from repro.session.driver import outbound_messages
 from repro.workloads.synthetic import perturbed_pair
 
 DELTA = 4096
@@ -162,80 +162,97 @@ class TestServerReuse:
         first = sorted(results[0].repaired)
         assert all(sorted(r.repaired) == first for r in results)
 
-
-@pytest.mark.skipif(
-    not fork_available(), reason="worker pool requires the fork start method"
-)
-class TestMultiWorkerDifferential:
-    """workers=1 vs workers=4: same repairs, same bytes, same digests."""
-
-    @pytest.mark.parametrize("variant,kwargs,runner", VARIANTS,
-                             ids=[v for v, _, _ in VARIANTS])
-    def test_pool_equals_single_process(self, variant, kwargs, runner):
-        workload, config = _setup(kwargs, seed=15)
-
-        async def one_worker():
-            channel = SimulatedChannel()
-            async with ReconciliationServer(config, workload.alice) as server:
-                result = await sync(
-                    *server.address, config, workload.bob,
-                    variant=variant, channel=channel, timeout=10,
-                )
-            return result, channel
-
-        async def four_workers():
-            channel = SimulatedChannel()
-            async with WorkerPoolServer(
-                config, workload.alice, workers=4
-            ) as pool:
-                result = await sync(
-                    *pool.address, config, workload.bob,
-                    variant=variant, channel=channel, timeout=10,
-                )
-            return result, channel
-
-        single, single_channel = asyncio.run(one_worker())
-        pooled, pooled_channel = asyncio.run(four_workers())
-        assert sorted(pooled.repaired) == sorted(single.repaired)
-        assert _message_triples(pooled_channel) == _message_triples(
-            single_channel
+    def test_close_drains_in_flight_session(self):
+        """``close()`` mid-session stops accepting but lets the session
+        it is serving finish, and records it."""
+        workload, config = _setup({}, seed=17)
+        expected = sorted(
+            reconcile_rateless(workload.alice, workload.bob, config).repaired
         )
-        assert pooled.transcript == single.transcript
-
-    def test_every_worker_ships_identical_bytes_and_digest(self):
-        """Concurrent clients land on several workers; all must receive
-        byte-identical payload sequences, and the pool's handshake
-        digests must equal the single-process server's for every
-        variant (each successful sync re-verifies its digest on the
-        wire)."""
-        workload, config = _setup({}, seed=16)
 
         async def scenario():
-            async with WorkerPoolServer(
-                config, workload.alice, workers=4
-            ) as pool:
-                single = ReconciliationServer(config, workload.alice)
-                for variant, _, _ in VARIANTS:
-                    assert pool.digest(variant) == single.digest(variant)
-                await single.close()
-                channels = [SimulatedChannel() for _ in range(12)]
-                results = await asyncio.gather(*[
-                    sync(*pool.address, config, workload.bob,
-                         variant="one-round", channel=channel, timeout=10)
-                    for channel in channels
-                ])
-                await pool.wait_for_sessions(12)
-                return pool.summary(), results, channels
+            server = ReconciliationServer(config, workload.alice)
+            host, port = await server.start()
+            reader, writer = await asyncio.open_connection(host, port)
+            await write_frame(writer, handshake.hello_bytes(
+                "rateless", server.digest("rateless")
+            ))
+            handshake.parse_welcome(await read_frame(reader))
+            first = await read_frame(reader)  # increment 0 in flight
+            closing = asyncio.ensure_future(server.close())
+            await asyncio.sleep(0.1)
+            with pytest.raises(OSError):
+                await asyncio.open_connection(host, port)
+            session = make_session("rateless", "bob", config, workload.bob)
+            for message in outbound_messages(session.start()):
+                await write_frame(writer, message.payload)
+            output = session.feed(first)
+            while True:
+                for message in outbound_messages(output):
+                    await write_frame(writer, message.payload)
+                if session.done:
+                    break
+                output = session.feed(await read_frame(reader))
+            writer.close()
+            await closing
+            return session.result, server.summary()
 
-        summary, results, channels = asyncio.run(scenario())
-        assert summary["ok"] == 12
-        served_by = {r.served_by for r in results}
-        assert len(served_by) >= 2, f"all sessions on one worker: {served_by}"
-        reference = _message_triples(channels[0])
-        for channel in channels[1:]:
-            assert _message_triples(channel) == reference
-        first = sorted(results[0].repaired)
-        assert all(sorted(r.repaired) == first for r in results)
+        result, summary = asyncio.run(asyncio.wait_for(scenario(), 30))
+        assert sorted(result.repaired) == expected
+        assert summary["sessions"] == 1 and summary["ok"] == 1
+
+
+class TestSharedCore:
+    """One :class:`ServerCore` warmed up front and served by several
+    servers: the warm changes no byte, and the servers agree."""
+
+    RATELESS = RatelessConfig(initial_cells=8)
+
+    def test_warm_prebuilds_every_cache(self):
+        workload, config = _setup({}, seed=15)
+        core = ServerCore(
+            config, workload.alice, rateless=self.RATELESS
+        ).warm()
+        assert "one-round" in core._encoded
+        # The warmed payload is exactly what a cold encode produces.
+        cold = ServerCore(config, workload.alice, rateless=self.RATELESS)
+        assert core.encoded("one-round") == cold.encoded("one-round")
+        assert core.reconciler("rateless").alice_increment(
+            core.points, 0
+        ) == cold.reconciler("rateless").alice_increment(cold.points, 0)
+
+    def test_core_and_config_are_mutually_exclusive(self):
+        workload, config = _setup({}, seed=15)
+        core = ServerCore(config, workload.alice)
+        with pytest.raises(ConfigError):
+            ReconciliationServer(config, workload.alice, core=core)
+        with pytest.raises(ConfigError):
+            ReconciliationServer()
+        with pytest.raises(ConfigError):
+            ReconciliationServer(core=core, rateless=self.RATELESS)
+
+    def test_one_core_many_servers_identical_payloads(self):
+        """Two servers over one core ship byte-identical sessions."""
+        workload, config = _setup({}, seed=16)
+        core = ServerCore(
+            config, workload.alice, rateless=self.RATELESS
+        ).warm()
+
+        async def scenario():
+            triples = []
+            for _ in range(2):
+                async with ReconciliationServer(core=core) as server:
+                    channel = SimulatedChannel()
+                    await sync(
+                        *server.address, config, list(workload.bob),
+                        variant="one-round", channel=channel, timeout=10,
+                    )
+                    triples.append(_message_triples(channel))
+            return triples
+
+        triples = asyncio.run(scenario())
+        core.close()
+        assert triples[0] == triples[1]
 
 
 class TestStoreDifferential:

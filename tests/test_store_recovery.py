@@ -229,6 +229,37 @@ class TestCleanRecovery:
         ).encode(points)
 
 
+class _CountingBytes(bytes):
+    """``bytes`` that tallies how many bytes its slices copy."""
+
+    copied = 0
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        if isinstance(index, slice):
+            type(self).copied += len(item)
+        return item
+
+
+class TestWalScan:
+    def test_scan_copies_linear_in_log_size(self, monkeypatch):
+        """Scanning a log copies O(len(data)) bytes, not a tail per
+        record: 2,000 records must not copy more than a few times the log
+        (re-slicing the rest of the log per record copies ~1,000x)."""
+        payloads = [bytes([i % 251]) * 40 for i in range(2000)]
+        records = [
+            wal_codec.encode_record(3, wal_codec.KIND_DELTAS, payload)
+            for payload in payloads
+        ]
+        monkeypatch.setattr(_CountingBytes, "copied", 0)
+        # A torn tail (a cut record header) must still end the scan.
+        data = _CountingBytes(b"".join(records) + records[0][:7])
+        scanned, clean = wal_codec.scan_records(data)
+        assert clean == len(data) - 7
+        assert [payload for _, _, payload in scanned] == payloads
+        assert _CountingBytes.copied <= 4 * len(data)
+
+
 def _v1_record(generation: int, payload: bytes) -> bytes:
     """A WAL record framed as version 1 wrote it (the same frame)."""
     writer = BitWriter()
