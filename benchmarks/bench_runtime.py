@@ -3,8 +3,10 @@
 Claim under test: Alice's encoding is ``O(n log Δ)`` hash work (linear in
 n at fixed geometry) and Bob's decode is dominated by his own key pass
 (the peeling itself is ``O(k)``).  Each row reports the median of
-``REPEATS`` timed runs in milliseconds; pytest-benchmark times the n=4000
-kernels.
+``REPEATS`` timed runs in milliseconds and the levels Bob probed, next to
+the levels the plain bisection (``tests/bisection_oracle.py``) probes on
+the same sync; the sweeps assert the aimed search never probes more.
+pytest-benchmark times the n=4000 kernels.
 
 The encode-scaling rows time the one-round encode at n = 1e5 and 1e6
 (the level tables built on a thread pool by
@@ -22,7 +24,9 @@ from __future__ import annotations
 
 import os
 import statistics
+import sys
 import time
+from pathlib import Path
 
 from repro.analysis.tables import Table
 from repro.core.config import ProtocolConfig
@@ -36,6 +40,9 @@ from repro.core.sketch import (
 from repro.iblt.backends import available_backends
 from repro.iblt.table import IBLT
 from repro.workloads.synthetic import perturbed_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from bisection_oracle import bisection_decode  # noqa: E402
 
 SIZES = (1000, 2000, 4000, 8000, 16000, 32000)
 SMOKE_SIZES = tuple(n for n in SIZES if n <= 4000)
@@ -71,7 +78,8 @@ def median_ms(run) -> float:
 
 def experiment(sizes) -> tuple[str, list[dict]]:
     table = Table(
-        ["n", "encode (ms)", "decode (ms)", "encode us/point", "level"],
+        ["n", "encode (ms)", "decode (ms)", "encode us/point", "level",
+         "levels probed", "bisection probes"],
         title=(
             f"E7: runtime vs n  (delta=2^20, d=2, k={2 * TRUE_K}, "
             f"median of {REPEATS})"
@@ -83,6 +91,7 @@ def experiment(sizes) -> tuple[str, list[dict]]:
         payload = reconciler.encode(workload.alice)
         result = reconciler.decode_and_repair(payload, workload.bob)
         assert len(result.repaired) == len(workload.alice)
+        oracle = bisection_decode(reconciler, payload, workload.bob)
         encode_ms = median_ms(lambda: reconciler.encode(workload.alice))
         decode_ms = median_ms(
             lambda: reconciler.decode_and_repair(payload, workload.bob)
@@ -90,6 +99,7 @@ def experiment(sizes) -> tuple[str, list[dict]]:
         table.add_row([
             n, f"{encode_ms:.1f}", f"{decode_ms:.1f}",
             f"{1e3 * encode_ms / n:.1f}", result.level,
+            len(result.levels_probed), len(oracle.levels_probed),
         ])
         records.append(
             {
@@ -99,6 +109,7 @@ def experiment(sizes) -> tuple[str, list[dict]]:
                 "encode_us_per_point": 1e3 * encode_ms / n,
                 "level": result.level,
                 "levels_probed": len(result.levels_probed),
+                "bisection_levels_probed": len(oracle.levels_probed),
             }
         )
     return table.render(), records
@@ -120,6 +131,11 @@ def _record(name, sizes, benchmark, emit, emit_json) -> None:
             "cpu_count": os.cpu_count(),
             "rows": records,
         },
+    )
+    # A count, not a time: the aimed search never probes more levels.
+    assert all(
+        record["levels_probed"] <= record["bisection_levels_probed"]
+        for record in records
     )
 
 

@@ -14,13 +14,21 @@ reached near ``2^{ℓ*} ≈ EMD_k / k``.  Each repaired point then costs at most
 a cell diameter ``d · 2^{ℓ*}``, for a total of
 ``O(k · d · EMD_k / k) = O(d) · EMD_k`` — the paper's approximation factor.
 
-Bob probes levels with a binary search (decodability is monotone in the
-level up to peeling-threshold noise), so his work is ``O(n log log Δ)``
-hashes rather than ``O(n log Δ)``.
+Bob brackets the finest decodable level (decodability is monotone in the
+level up to peeling-threshold noise) and aims each probe with the same
+fact: the difference roughly halves per coarser level, so one probed
+level's difference says how many levels away the peeling threshold lies.
+A failed level's difference is estimated from how many of its cells are
+occupied, a peeled level's is the number of keys it recovered.  Each
+probe deletes Bob's ``n`` keys from one level's table; a noisy sync
+typically takes 3 or 4 probes, and never more than ``O(log L)`` for
+``L = log Δ`` levels, so his work is ``O(n log log Δ)``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -36,7 +44,7 @@ from repro.core.sketch import (
 from repro.emd.metrics import Point
 from repro.errors import ReconciliationFailure
 from repro.iblt.decode import DecodeResult, decode
-from repro.iblt.table import IBLT
+from repro.iblt.table import IBLT, PEELING_THRESHOLDS
 from repro.net.channel import SimulatedChannel
 from repro.net.transcript import Transcript
 
@@ -145,9 +153,11 @@ class HierarchicalReconciler:
             Victim-selection strategy for deletions (see
             :mod:`repro.core.repair`).
         probe:
-            ``"binary"`` (default) binary-searches the finest decodable
-            level; ``"linear"`` scans every level finest-first (used by
-            tests and ablations to validate the search).
+            ``"binary"`` (default) brackets the finest decodable level,
+            aiming each probe with the difference the last one saw (see
+            :func:`_finest_decodable`); ``"linear"`` scans every level
+            finest-first (used by tests and ablations to validate the
+            search).
         """
         sketch = HierarchySketch.from_bytes(payload, self.config, self.grid)
         return self.repair_from_sketch(sketch, bob_points, strategy, probe)
@@ -202,6 +212,48 @@ class HierarchicalReconciler:
         )
 
 
+@dataclass(frozen=True)
+class LevelProbe:
+    """What probing one level saw.
+
+    ``occupied`` of the difference table's ``cells`` (in ``q``
+    partitions) were nonzero before the peel; a successful peel recovered
+    ``keys`` difference keys.
+    """
+
+    success: bool
+    keys: int
+    occupied: int
+    cells: int
+    q: int
+
+    def threshold_offset(self, growth: float = 1.0) -> int | None:
+        """Estimated levels from this one to the finest that peels.
+
+        A table peels while it holds at most ``T = PEELING_THRESHOLDS[q] *
+        cells`` keys, and the difference grows by ``growth`` bits per finer
+        level (``1`` when it halves per coarser level, the split-probability
+        fact).  A peel of ``d`` keys leaves room for ``log2(T/d) / growth``
+        finer levels, rounded (at least one).  A failed level's difference
+        is estimated by linear counting over its ``p = cells/q``-cell
+        partitions, ``d̂ = ln(1-z/m) / ln(1-1/p)`` for ``z`` occupied of
+        ``m`` cells, and must halve ``⌈log2(d̂/T)⌉`` times (at least once);
+        ``None`` when every cell is occupied, which bounds nothing.
+        """
+        threshold = PEELING_THRESHOLDS[self.q] * self.cells
+        if self.success:
+            room = math.log2(threshold / max(self.keys, 1)) / growth
+            return -max(1, round(room))
+        if self.occupied >= self.cells:
+            return None
+        estimate = 0.0
+        if self.occupied:
+            estimate = math.log1p(-self.occupied / self.cells) / math.log1p(
+                -self.q / self.cells
+            )
+        return max(1, math.ceil(math.log2(max(estimate / threshold, 1.0))))
+
+
 def probe_levels(
     alice_levels: dict[int, LevelSketch],
     difference: Callable[[int, IBLT], IBLT],
@@ -217,15 +269,16 @@ def probe_levels(
     level unpacks a copy of Alice's table that the probe owns (see
     :meth:`LevelSketch.table_copy`), and ``difference(level, table)``
     returns it minus Bob's table, typically by deleting Bob's keys from it
-    in place; the probe peels the result.  Levels never probed stay
-    packed.  A peel counts as a false decode, and its level as
-    undecodable, when its surplus counts disagree with the point counts or
-    ``accept(level, result)`` is false.  The one-round decoder's accept is
-    a membership test: every Bob-surplus key must be one of Bob's own keys
-    at that level, which rejects exactly the checksum-evading wrong keys
-    :func:`plan_repair` refuses, without building a plan per probe.
-    Returns ``(level, result, levels_probed)``, probed levels in probe
-    order.
+    in place; the probe counts the result's occupied cells and peels it.
+    Levels never probed stay packed.  A peel counts as a false decode, and
+    its level as undecodable, when its surplus counts disagree with the
+    point counts or ``accept(level, result)`` is false.  The one-round
+    decoder's accept is a membership test: every Bob-surplus key must be
+    one of Bob's own keys at that level, which rejects exactly the
+    checksum-evading wrong keys :func:`plan_repair` refuses, without
+    building a plan per probe.  Each probe's :class:`LevelProbe` aims the
+    next one (see :func:`_finest_decodable`).  Returns
+    ``(level, result, levels_probed)``, probed levels in probe order.
 
     Raises
     ------
@@ -239,21 +292,24 @@ def probe_levels(
     if not levels:
         raise ReconciliationFailure("hierarchy sketch carries no levels")
     probed: list[int] = []
-    outcomes: dict[int, DecodeResult] = {}
+    outcomes: dict[int, LevelProbe] = {}
+    results: dict[int, DecodeResult] = {}
 
-    def attempt(level: int) -> DecodeResult:
+    def attempt(level: int) -> LevelProbe:
         if level not in outcomes:
             probed.append(level)
-            result = decode(
-                difference(level, alice_levels[level].table_copy()),
-                max_items=config.decode_item_limit,
-            )
+            table = difference(level, alice_levels[level].table_copy())
+            result = decode(table, max_items=config.decode_item_limit)
             surplus = len(result.alice_keys) - len(result.bob_keys)
             if result.success and surplus != n_alice - n_bob:
                 result.success = False  # checksum-evading false decode
             if result.success and not accept(level, result):
                 result.success = False  # decoded a key Bob cannot hold
-            outcomes[level] = result
+            results[level] = result
+            outcomes[level] = LevelProbe(
+                result.success, result.difference_size,
+                table.nonzero_cells(), table.config.cells, table.config.q,
+            )
         return outcomes[level]
 
     chosen = _finest_decodable(levels, attempt, probe)
@@ -262,33 +318,61 @@ def probe_levels(
             f"no level of the hierarchy sketch decoded "
             f"(difference exceeds budget k={config.k}?)"
         )
-    return chosen, outcomes[chosen], probed
+    return chosen, results[chosen], probed
 
 
-def _finest_decodable(levels, attempt, probe: str) -> int | None:
-    """Locate the smallest (finest) level whose table peels."""
+def _finest_decodable(
+    levels: list[int], attempt: Callable[[int], LevelProbe], probe: str
+) -> int | None:
+    """Locate the smallest (finest) level whose table peels.
+
+    ``attempt(level)`` probes a level once and returns the cached
+    :class:`LevelProbe` on a repeat.  ``"linear"`` tries every level
+    finest-first.  ``"binary"`` keeps an open bracket between the finest
+    failure and the finest success seen (assuming failure below the
+    threshold and success above it), starting from the finest level.
+    Each next probe is the last probe's
+    :meth:`LevelProbe.threshold_offset` clamped into the bracket, with the
+    difference's growth per level measured between the last two successes
+    once there are two (and taken as at least half a bit: near the floor
+    of far-apart pairs the measured growth is mostly noise).  It is the
+    bracket's midpoint when the offset is unknown or ``⌈log2 L⌉`` probes
+    have been made, which bounds the search at ``O(log L)`` probes.  The
+    coarsest level is probed only once the bracket reaches it.  If it
+    fails too, every level is scanned finest-first for any that peels.
+    """
     if probe == "linear":
         for level in levels:
             if attempt(level).success:
                 return level
         return None
-    # Binary search: assume failure below the threshold, success above.
-    if attempt(levels[0]).success:
-        return levels[0]
-    low, high = 0, len(levels) - 1  # low fails; probe for first success
-    if not attempt(levels[high]).success:
-        # Coarsest failed too; fall back to scanning for any success.
-        for level in levels[1:-1]:
-            if attempt(level).success:
-                return level
-        return None
-    while high - low > 1:
-        mid = (low + high) // 2
-        if attempt(levels[mid]).success:
-            high = mid
+    aimed = math.ceil(math.log2(len(levels)))  # probes that may be aimed
+    low, high = -1, len(levels)  # level indices: failure below success
+    index, growth = 0, 1.0
+    for made in itertools.count(1):
+        outcome = attempt(levels[index])
+        if outcome.success:
+            if high < len(levels):
+                coarser = attempt(levels[high]).keys
+                growth = max(0.5, math.log2(
+                    max(outcome.keys, 1) / max(coarser, 1)
+                ) / (high - index))
+            high = index
         else:
-            low = mid
-    return levels[high]
+            low = index
+        if high - low == 1:
+            break
+        offset = outcome.threshold_offset(growth) if made < aimed else None
+        if offset is None:
+            index = (low + high) // 2
+        else:
+            index = min(max(index + offset, low + 1), high - 1)
+    if high < len(levels):
+        return levels[high]
+    for level in levels:  # even the coarsest failed: take any that peels
+        if attempt(level).success:
+            return level
+    return None
 
 
 def reconcile(

@@ -186,17 +186,18 @@ class TestChaosMatrix:
                         outcome=[outcome[0], str(outcome[1:])])
             raise
 
-    def test_pinned_cut_always_observed(self, name, plan, variant):
-        """The pinned-disconnect plan is the one cell where the outcome
-        is fully determined: the first server frame after the welcome is
-        cut on every variant, so a typed error is guaranteed."""
-        if name != "cut":
-            pytest.skip("only the pinned-disconnect plan is deterministic")
-        outcome, trace = asyncio.run(
-            asyncio.wait_for(_chaos_cell(variant, plan), SCENARIO_TIMEOUT)
-        )
-        assert outcome[0] == "error", (variant, outcome)
-        assert ("A->B", 0, "disconnect", 0, 0) in trace
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pinned_cut_always_observed(variant):
+    """The pinned-disconnect plan is the one cell where the outcome is
+    fully determined: the first server frame after the welcome is cut on
+    every variant, so a typed error is guaranteed."""
+    plan = dict(PLANS)["cut"]
+    outcome, trace = asyncio.run(
+        asyncio.wait_for(_chaos_cell(variant, plan), SCENARIO_TIMEOUT)
+    )
+    assert outcome[0] == "error", (variant, outcome)
+    assert ("A->B", 0, "disconnect", 0, 0) in trace
 
 
 #: Cuts the third server frame of a rateless stream: the client has the
